@@ -20,15 +20,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import FittedConstants
 from .evolve import (
     EvolveConfig,
     Outcome,
     SmallnessError,
+    calibrate_delta,
     picard_iterate,
     solve_global_small,
 )
 from .kernel import KernelSuite
+from .profiles import build_initial_data, corollary_profile
 from .semigroup import heat_core_lower
 from .weights import GridFunction, WeightSpec
 
@@ -48,6 +49,7 @@ __all__ = [
     "classify",
     "DichotomyReport",
     "sweep_dichotomy",
+    "fmt",
     "REPORT_FOOTER",
 ]
 
@@ -122,6 +124,10 @@ def kaplan_cstar_log_bound(p: float, terms: int = 60) -> float:
     return (1.0 + math.log(p)) * (partial + tail)
 
 
+# iteration-product coefficients A_2 .. A_30 are tabulated with each series
+_KAPLAN_K_MAX = 30
+
+
 @dataclass(frozen=True)
 class KaplanReport:
     times: np.ndarray
@@ -137,7 +143,6 @@ def kaplan_bound_series(
     p: float,
     times: list[float],
     suite: KernelSuite,
-    k_max: int = 30,
 ) -> KaplanReport:
     """Necessary-condition series t^{1/(p-1)} ||S(t) u0||_inf with its cap.
 
@@ -154,7 +159,7 @@ def kaplan_bound_series(
     cap = math.exp(kaplan_cstar_log_bound(p))
     over = np.flatnonzero(series > cap)
     crossing = float(ts[over[0]]) if over.size else None
-    table = {k: log_ak(p, k) for k in range(2, k_max + 1)}
+    table = {k: log_ak(p, k) for k in range(2, _KAPLAN_K_MAX + 1)}
     return KaplanReport(
         times=ts,
         series=series,
@@ -216,6 +221,9 @@ def subcritical_escape(
     )
 
 
+_LOG_GROWTH_MIN_TIME = 3.0
+
+
 @dataclass(frozen=True)
 class LogGrowthFit:
     slope: float
@@ -234,13 +242,13 @@ def critical_log_growth(
     u0: GridFunction,
     suite: KernelSuite,
     cfg: EvolveConfig,
-    min_time: float = 3.0,
 ) -> LogGrowthFit:
     """At the threshold exponent, fit the core mass integral against log t.
 
     Evolves the data, computes I(t) = integral of u(t) w over {|x| <= sqrt t}
-    at the recorded times past ``min_time``, and regresses I against log t;
-    a positive slope is the logarithmic-growth certificate.
+    at the recorded times past the initial layer (``_LOG_GROWTH_MIN_TIME``),
+    and regresses I against log t; a positive slope is the logarithmic-growth
+    certificate.
     """
     spec = suite.spec
     params = critical_parameters(spec.dimension, spec.alpha, cfg.p)
@@ -254,7 +262,7 @@ def critical_log_growth(
     grid = u0.grid
     times = run.trajectory.times
     mask = run.trajectory.converged_mask
-    usable = (times > min_time) & (mask if mask is not None else True)
+    usable = (times > _LOG_GROWTH_MIN_TIME) & (mask if mask is not None else True)
     if int(np.sum(usable)) < 3:
         return LogGrowthFit(
             slope=math.nan,
@@ -262,7 +270,7 @@ def critical_log_growth(
             times=times[usable],
             core_integrals=np.empty(0),
             threshold_escape=run.escape_time,
-            inconclusive_reason=f"fewer than 3 converged records past t = {min_time:g}",
+            inconclusive_reason=f"fewer than 3 converged records past t = {_LOG_GROWTH_MIN_TIME:g}",
         )
     rec_idx = np.flatnonzero(run.masters > 0.0)
     core_vals = []
@@ -297,6 +305,7 @@ class CellOutcome:
     log_slope: float | None = None
     kaplan_crossing: float | None = None
     reason: str | None = None
+    smallness: float | None = None  # measured smallness level of a global cell
 
 
 def classify(
@@ -305,7 +314,6 @@ def classify(
     u0: GridFunction,
     cfg: EvolveConfig,
     suite: KernelSuite,
-    constants: FittedConstants | None = None,
     u0_fn=None,
 ) -> CellOutcome:
     """Place one (p, data) cell on the blow-up/global map.
@@ -350,13 +358,13 @@ def classify(
 
     # supercritical: small data decay globally
     try:
-        run = solve_global_small(u0, p, params.r_star, suite, replace(cfg, p=p),
-                                 constants=constants, u0_fn=u0_fn)
+        run = solve_global_small(u0, p, params.r_star, suite, replace(cfg, p=p), u0_fn=u0_fn)
     except SmallnessError as exc:
         return CellOutcome(p=p, alpha=alpha, kind="inconclusive",
                            reason=f"smallness unmet: {exc.measured}")
     if run.accepted:
-        return CellOutcome(p=p, alpha=alpha, kind="global", decay_slope=run.decay_slope)
+        return CellOutcome(p=p, alpha=alpha, kind="global", decay_slope=run.decay_slope,
+                           smallness=run.measured_smallness)
     return CellOutcome(p=p, alpha=alpha, kind="inconclusive",
                        reason="decay functionals not established",
                        decay_slope=run.decay_slope)
@@ -388,13 +396,11 @@ def run_cell(
     p: float,
     cfg: EvolveConfig,
     sub_u0: GridFunction,
-    super_profile,
     delta0: float,
-    constants: FittedConstants | None = None,
-    super_horizon: float | None = None,
+    super_horizon: float,
 ) -> CellOutcome:
     """One sweep cell: bump data at and below the threshold, calibrated
-    profile amplitude above it.
+    critical-tail amplitude above it.
 
     Global cells run on an extended ladder: the marginal-tail profile
     approaches its decay rate through a slow algebraic transient, so the
@@ -402,67 +408,46 @@ def run_cell(
     """
     params = critical_parameters(spec.dimension, spec.alpha, p)
     if p <= params.p_star * (1.0 + 1e-12):
-        return classify(spec, p, sub_u0, cfg, suite, constants=constants)
-    from .evolve import calibrate_delta  # local import keeps module load light
+        return classify(spec, p, sub_u0, cfg, suite)
 
-    run_cfg = replace(cfg, horizon=super_horizon) if super_horizon else cfg
+    def profile(delta: float):
+        fn = corollary_profile(delta, p)
+        return suite.grid.function(fn), fn
+
     try:
         delta, grun = calibrate_delta(
-            lambda d: super_profile(d, p), p, params.r_star, suite, run_cfg,
-            delta0=delta0, constants=constants,
+            profile, p, params.r_star, suite, replace(cfg, horizon=super_horizon), delta0
         )
     except RuntimeError as exc:
         return CellOutcome(p=p, alpha=spec.alpha, kind="inconclusive", reason=str(exc))
     return CellOutcome(
-        p=p, alpha=spec.alpha, kind="global", decay_slope=grun.decay_slope
+        p=p, alpha=spec.alpha, kind="global", decay_slope=grun.decay_slope,
+        smallness=grun.measured_smallness,
     )
 
 
 def sweep_dichotomy(
-    build_spec,
-    build_suite,
-    build_sub_u0,
-    build_super_profile,
-    n: int,
+    suites: list[KernelSuite],
     p_values: list[float],
-    alpha_values: list[float],
     cfg: EvolveConfig,
-    delta0: float = 0.1,
-    constants: FittedConstants | None = None,
-    jobs: int = 1,
-    super_horizon: float | None = None,
+    sub_u0: str,
+    delta0: float,
+    super_horizon: float,
 ) -> DichotomyReport:
-    """Populate the (p, alpha) outcome map; cells are independent."""
-    tasks = []
-    for a in alpha_values:
-        spec = build_spec(a)
-        suite = build_suite(spec)
-        sub_u0 = build_sub_u0(suite)
-        profile = build_super_profile(suite)
-        for p in p_values:
-            tasks.append((spec, suite, p, sub_u0, profile))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    """Populate the (p, alpha) outcome map, one suite per alpha, cell by cell.
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(
-                pool.map(
-                    lambda args: run_cell(
-                        args[0], args[1], args[2], cfg, args[3], args[4], delta0,
-                        constants, super_horizon,
-                    ),
-                    tasks,
-                )
-            )
-    else:
-        cells = [
-            run_cell(spec, suite, p, cfg, sub_u0, profile, delta0, constants, super_horizon)
-            for spec, suite, p, sub_u0, profile in tasks
-        ]
+    ``sub_u0`` is the initial-data descriptor of the cells at and below the
+    threshold; the cells above it calibrate the critical-tail profile.
+    """
+    cells = []
+    for suite in suites:
+        u0, _ = build_initial_data(suite.grid, sub_u0)
+        for p in p_values:
+            cells.append(run_cell(suite.spec, suite, p, cfg, u0, delta0, super_horizon))
     return DichotomyReport(
-        n=n,
+        n=suites[0].spec.dimension,
         p_values=tuple(p_values),
-        alpha_values=tuple(alpha_values),
+        alpha_values=tuple(s.spec.alpha for s in suites),
         cells=tuple(cells),
     )
 
@@ -472,7 +457,8 @@ def sweep_dichotomy(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float | None) -> str:
+def fmt(x: float | None) -> str:
+    """17 significant digits, '.' decimal point; empty for a missing value."""
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return ""
     return f"{x:.17g}"
@@ -483,8 +469,8 @@ def dichotomy_csv_lines(report: DichotomyReport) -> list[str]:
     for c in report.cells:
         reason = (c.reason or "").replace(",", ";")
         lines.append(
-            f"{_fmt(c.p)},{_fmt(c.alpha)},{c.kind},{_fmt(c.escape_time)},"
-            f"{_fmt(c.decay_slope)},{_fmt(c.log_slope)},{_fmt(c.kaplan_crossing)},{reason}"
+            f"{fmt(c.p)},{fmt(c.alpha)},{c.kind},{fmt(c.escape_time)},"
+            f"{fmt(c.decay_slope)},{fmt(c.log_slope)},{fmt(c.kaplan_crossing)},{reason}"
         )
     lines.append(f"# {report.footer}")
     return lines

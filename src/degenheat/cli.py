@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blowup, semigroup
+from .blowup import fmt
 from .config import ConfigError, ExperimentConfig, load_config
 from .constants import FittedConstants
 from .evolve import (
@@ -33,8 +34,8 @@ from .lorentz import (
     StepFunction,
     inequality_suite,
 )
-from .profiles import build_initial_data, corollary_profile
-from .weights import GridFunction, fit_ball_constants
+from .profiles import build_initial_data
+from .weights import GridFunction, WeightSpec, fit_ball_constants, make_grid
 
 NUMERIC_FAILURES = (
     KernelInvariantError,
@@ -47,10 +48,11 @@ NUMERIC_FAILURES = (
 )
 
 
-def fmt(x: float | None) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    return f"{x:.17g}"
+def _suite(cfg: ExperimentConfig, alpha: float) -> KernelSuite:
+    """The configured grid and kernel suite for weight exponent alpha."""
+    spec = WeightSpec(cfg.case, alpha, cfg.dimension)
+    grid = make_grid(spec, cfg.grid_radius, cfg.grid_cells, cfg.grid_grading)
+    return KernelSuite(spec, grid, steps=cfg.kernel_steps, cache_dir=cfg.kernel_cache_dir)
 
 
 def _write(path: Path, lines: list[str]) -> None:
@@ -81,11 +83,10 @@ def _trajectory_csv(times, sup, strong, weak, qs) -> list[str]:
     return lines
 
 
-def cmd_kernel_verify(cfg: ExperimentConfig, out: Path, seed: int, jobs: int) -> int:
+def cmd_kernel_verify(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     constants = FittedConstants()
-    spec = cfg.spec()
-    grid = cfg.grid()
-    suite = KernelSuite(spec, grid, steps=cfg.kernel_steps, cache_dir=cfg.kernel_cache_dir)
+    suite = _suite(cfg, cfg.exponent)
+    spec, grid = suite.spec, suite.grid
     report = verify_kernel(spec, grid, list(cfg.kernel_times), steps=cfg.kernel_steps, suite=suite)
     constants.sandwich_lower = report.sandwich.lower
     constants.sandwich_upper = report.sandwich.upper
@@ -133,7 +134,7 @@ def _gaussian_match_error(suite: KernelSuite, times) -> float:
     return worst
 
 
-def cmd_lorentz_selftest(cfg: ExperimentConfig, out: Path, seed: int, jobs: int) -> int:
+def cmd_lorentz_selftest(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     rng = np.random.default_rng(seed)
     grid = cfg.grid()
     lines = ["function,check,lhs,rhs,margin"]
@@ -165,11 +166,10 @@ def cmd_lorentz_selftest(cfg: ExperimentConfig, out: Path, seed: int, jobs: int)
     return 0
 
 
-def cmd_evolve(cfg: ExperimentConfig, out: Path, seed: int, jobs: int) -> int:
-    spec = cfg.spec()
-    grid = cfg.grid()
-    suite = KernelSuite(spec, grid, steps=cfg.kernel_steps, cache_dir=cfg.kernel_cache_dir)
-    u0, _ = build_initial_data(grid, cfg.u0_descriptor)
+def cmd_evolve(cfg: ExperimentConfig, out: Path, seed: int) -> int:
+    suite = _suite(cfg, cfg.exponent)
+    spec = suite.spec
+    u0, _ = build_initial_data(suite.grid, cfg.u0_descriptor)
     na = spec.dimension + spec.alpha
     r_star = 0.5 * na * (cfg.evolve.p - 1.0)
     qs = cfg.evolve.record_q or (
@@ -188,10 +188,9 @@ def cmd_evolve(cfg: ExperimentConfig, out: Path, seed: int, jobs: int) -> int:
     return 0
 
 
-def cmd_decay_fit(cfg: ExperimentConfig, out: Path, seed: int, jobs: int) -> int:
-    spec = cfg.spec()
-    grid = cfg.grid()
-    suite = KernelSuite(spec, grid, steps=cfg.kernel_steps, cache_dir=cfg.kernel_cache_dir)
+def cmd_decay_fit(cfg: ExperimentConfig, out: Path, seed: int) -> int:
+    suite = _suite(cfg, cfg.exponent)
+    grid = suite.grid
     lines = ["q,r,kind,slope,intercept,predicted,relative_error"]
     for q, r, kind in cfg.decay_pairs:
         if kind == "weak":
@@ -209,14 +208,11 @@ def cmd_decay_fit(cfg: ExperimentConfig, out: Path, seed: int, jobs: int) -> int
     return 0
 
 
-def cmd_classify(cfg: ExperimentConfig, out: Path, seed: int, jobs: int) -> int:
-    spec = cfg.spec()
-    grid = cfg.grid()
-    suite = KernelSuite(spec, grid, steps=cfg.kernel_steps, cache_dir=cfg.kernel_cache_dir)
-    constants = FittedConstants()
-    u0, fn = build_initial_data(grid, cfg.u0_descriptor)
-    cell = blowup.classify(spec, cfg.evolve.p, u0, cfg.evolve, suite,
-                           constants=constants, u0_fn=fn)
+def cmd_classify(cfg: ExperimentConfig, out: Path, seed: int) -> int:
+    suite = _suite(cfg, cfg.exponent)
+    spec = suite.spec
+    u0, fn = build_initial_data(suite.grid, cfg.u0_descriptor)
+    cell = blowup.classify(spec, cfg.evolve.p, u0, cfg.evolve, suite, u0_fn=fn)
     lines = blowup.dichotomy_csv_lines(
         blowup.DichotomyReport(
             n=spec.dimension, p_values=(cfg.evolve.p,), alpha_values=(spec.alpha,),
@@ -224,55 +220,21 @@ def cmd_classify(cfg: ExperimentConfig, out: Path, seed: int, jobs: int) -> int:
         )
     )
     _write(out / "classify.csv", lines)
-    _write_manifest(out, cfg, seed, "classify", constants)
+    _write_manifest(out, cfg, seed, "classify", FittedConstants())
     print(f"classify ok: outcome {cell.kind}, report in {out}")
     return 0
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, jobs: int) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     if not cfg.sweep_p:
         raise ConfigError("sweep requires sweep.p", key="sweep.p")
-    constants = FittedConstants()
-    n = cfg.dimension
-    suites: dict[float, KernelSuite] = {}
-
-    def build_spec(alpha: float):
-        from .weights import WeightSpec
-
-        return WeightSpec(cfg.case, alpha, n)
-
-    def build_suite(spec):
-        if spec.alpha not in suites:
-            from .weights import make_grid
-
-            grid = make_grid(spec, cfg.grid_radius, cfg.grid_cells, cfg.grid_grading)
-            suites[spec.alpha] = KernelSuite(
-                spec, grid, steps=cfg.kernel_steps, cache_dir=cfg.kernel_cache_dir
-            )
-        return suites[spec.alpha]
-
-    def build_sub_u0(suite):
-        u0, _ = build_initial_data(suite.grid, cfg.sweep_u0)
-        return u0
-
-    def build_super_profile(suite):
-        grid = suite.grid
-
-        def profile(delta: float, p: float):
-            fn = corollary_profile(delta, p)
-            return grid.function(fn), fn
-
-        return profile
-
     report = blowup.sweep_dichotomy(
-        build_spec, build_suite, build_sub_u0, build_super_profile,
-        n, list(cfg.sweep_p), list(cfg.sweep_alpha), cfg.evolve,
-        delta0=cfg.sweep_delta0, constants=constants, jobs=jobs,
-        super_horizon=cfg.sweep_super_horizon,
+        [_suite(cfg, a) for a in cfg.sweep_alpha], list(cfg.sweep_p), cfg.evolve,
+        cfg.sweep_u0, cfg.sweep_delta0, cfg.sweep_super_horizon,
     )
     _write(out / "sweep.csv", blowup.dichotomy_csv_lines(report))
     (out / "sweep.svg").write_text(blowup.dichotomy_svg(report))
-    _write_manifest(out, cfg, seed, "sweep", constants)
+    _write_manifest(out, cfg, seed, "sweep", FittedConstants())
     kinds = ",".join(c.kind for c in report.cells)
     print(f"sweep ok: outcomes [{kinds}], report in {out}")
     return 0
@@ -296,7 +258,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="flat key-value config file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility and ignored: sweep cells run in order",
+    )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized fits")
     args = parser.parse_args(argv)
 
@@ -312,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return COMMANDS[args.command](cfg, out, args.seed, args.jobs)
+        return COMMANDS[args.command](cfg, out, args.seed)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ _KNOWN_KEYS = {
     "evolve.p", "evolve.u0", "evolve.horizon", "evolve.ladder_t0",
     "evolve.picard_tol", "evolve.max_picard", "evolve.blowup_threshold",
     "evolve.duhamel_steps", "evolve.substeps", "evolve.record_q",
-    "evolve.smallness_delta", "evolve.oracle_dt", "evolve.route_r",
+    "evolve.smallness_delta",
     "decay.pairs", "decay.times",
     "sweep.p", "sweep.alpha", "sweep.u0", "sweep.delta0", "sweep.super_horizon",
 }
@@ -60,8 +60,6 @@ class ExperimentConfig:
     kernel_cache_dir: str | None = None
     evolve: EvolveConfig = field(default_factory=lambda: EvolveConfig(p=2.0))
     u0_descriptor: str = "bump(0,1,1)"
-    oracle_dt: float = 1e-3
-    route_r: float | None = None
     decay_pairs: tuple[tuple[float, float, str], ...] = ()
     decay_times: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0)
     sweep_p: tuple[float, ...] = ()
@@ -99,8 +97,6 @@ class ExperimentConfig:
             "evolve.substeps": str(ev.substeps),
             "evolve.record_q": ",".join(f"{q:.17g}" for q in ev.record_q),
             "evolve.smallness_delta": f"{ev.smallness_delta:.17g}",
-            "evolve.oracle_dt": f"{self.oracle_dt:.17g}",
-            "evolve.route_r": "" if self.route_r is None else f"{self.route_r:.17g}",
             "decay.pairs": ",".join(f"{q:g}:{r:g}:{k}" for q, r, k in self.decay_pairs),
             "decay.times": ",".join(f"{t:.17g}" for t in self.decay_times),
             "sweep.p": ",".join(f"{p:.17g}" for p in self.sweep_p),
@@ -131,6 +127,21 @@ def _parse_int(cfg: "ExperimentConfig", key: str, value: str) -> int:
 
 def _parse_floats(cfg: "ExperimentConfig", key: str, value: str) -> tuple[float, ...]:
     return tuple(_parse_float(cfg, key, part) for part in value.split(",") if part.strip())
+
+
+def _check_exponent(cfg: "ExperimentConfig", key: str, a: float) -> None:
+    """The weight exponent range of the configured case: a < 1 or b < n."""
+    if a < 0.0:
+        raise ConfigError("weight exponent must be nonnegative", cfg.lines.get(key), key)
+    if cfg.case is WeightCase.AXIS_POWER and not a < 1.0:
+        raise ConfigError(
+            f"axis-power weights require exponent a < 1, got {a:g}", cfg.lines.get(key), key
+        )
+    if cfg.case is WeightCase.RADIAL_POWER and not a < cfg.dimension:
+        raise ConfigError(
+            f"radial-power weights require exponent b < n = {cfg.dimension}, got {a:g}",
+            cfg.lines.get(key), key,
+        )
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -167,19 +178,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if cfg.dimension < 1:
         raise ConfigError("dimension must be a positive integer",
                           lines.get("weight.dimension"), "weight.dimension")
-    if cfg.exponent < 0.0:
-        raise ConfigError("weight exponent must be nonnegative",
-                          lines.get("weight.exponent"), "weight.exponent")
-    if cfg.case is WeightCase.AXIS_POWER and not cfg.exponent < 1.0:
-        raise ConfigError(
-            f"axis-power weights require exponent a < 1, got {cfg.exponent:g}",
-            lines.get("weight.exponent"), "weight.exponent",
-        )
-    if cfg.case is WeightCase.RADIAL_POWER and not cfg.exponent < cfg.dimension:
-        raise ConfigError(
-            f"radial-power weights require exponent b < n = {cfg.dimension}, got {cfg.exponent:g}",
-            lines.get("weight.exponent"), "weight.exponent",
-        )
+    _check_exponent(cfg, "weight.exponent", cfg.exponent)
 
     cfg.grid_radius = _parse_float(cfg, "grid.radius", get("grid.radius", "32"))
     cfg.grid_cells = _parse_int(cfg, "grid.cells", get("grid.cells", "256"))
@@ -219,9 +218,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc), key="evolve") from exc
     cfg.u0_descriptor = get("evolve.u0", "bump(0,1,1)")
-    cfg.oracle_dt = _parse_float(cfg, "evolve.oracle_dt", get("evolve.oracle_dt", "1e-3"))
-    rr = get("evolve.route_r", "")
-    cfg.route_r = None if not rr else _parse_float(cfg, "evolve.route_r", rr)
 
     pairs_txt = get("decay.pairs", "1:inf:strong,1:2:strong,2:inf:weak")
     pairs = []
@@ -248,6 +244,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
     cfg.sweep_super_horizon = _parse_float(
         cfg, "sweep.super_horizon", get("sweep.super_horizon", "65536")
     )
+    for p in cfg.sweep_p:
+        if not p > 1.0:
+            raise ConfigError(f"sweep exponents must satisfy p > 1, got {p:g}",
+                              lines.get("sweep.p"), "sweep.p")
+    for a in cfg.sweep_alpha:
+        _check_exponent(cfg, "sweep.alpha", a)
+    for key, value in (("sweep.delta0", cfg.sweep_delta0),
+                       ("sweep.super_horizon", cfg.sweep_super_horizon)):
+        if not value > 0.0:
+            raise ConfigError(f"{key} must be positive, got {value:g}", lines.get(key), key)
     return cfg
 
 

@@ -29,11 +29,6 @@ class FittedConstants:
     local_bound_coef: float | None = None
     # growth constant of the nonlinear Duhamel term in the local iteration
     picard_growth_coef: float | None = None
-    # cap for the necessary-condition series, and the p it was computed at
-    kaplan_cap: float | None = None
-    kaplan_p: float | None = None
-    # accepted smallness level for global runs
-    accepted_delta: float | None = None
 
     def manifest_lines(self) -> list[str]:
         out = []

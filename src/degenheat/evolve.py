@@ -84,7 +84,6 @@ class EvolveConfig:
     blowup_threshold: float | None = None
     max_picard: int = 60
     substeps: int = 4
-    octaves_below: int | None = None
     ladder_t0: float = 0.25
     record_q: tuple[float, ...] = ()
     smallness_delta: float = 0.1
@@ -109,8 +108,6 @@ class EvolveConfig:
         default horizon and never above ~0.016 for longer ones: the early
         initial layer must stay resolved however far the ladder extends.
         """
-        if self.octaves_below is not None:
-            return self.octaves_below
         return max(14, int(math.ceil(math.log2(self.horizon / 0.015625))))
 
 
@@ -403,6 +400,12 @@ class GlobalRun:
     decay_slope: float
 
 
+# a decay functional counts as bounded when its late log-log slope is this flat
+_FUNCTIONAL_SLOPE_TOL = 0.05
+# calibrate_delta tries delta0, delta0/2, ..., delta0/2^_MAX_HALVINGS
+_MAX_HALVINGS = 6
+
+
 def last_quarter_slope(times: np.ndarray, values: np.ndarray) -> float:
     """Log-log slope over the last quarter of the log-time range."""
     good = (times > 0.0) & (values > 0.0) & np.isfinite(values)
@@ -424,9 +427,7 @@ def solve_global_small(
     r: float,
     suite: KernelSuite,
     cfg: EvolveConfig,
-    constants: FittedConstants | None = None,
     u0_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    slope_tol: float = 0.05,
 ) -> GlobalRun:
     """Global small-data solve with decay-functional bookkeeping.
 
@@ -510,11 +511,9 @@ def solve_global_small(
             slopes[key] = last_quarter_slope(times[ok_mask], vals[ok_mask])
 
     accepted = run.outcome is Outcome.CONVERGED and all(
-        np.isfinite(s) and abs(s) <= slope_tol for s in slopes.values()
+        np.isfinite(s) and abs(s) <= _FUNCTIONAL_SLOPE_TOL for s in slopes.values()
     )
     decay = last_quarter_slope(1.0 + times[ok_mask], sup[ok_mask])
-    if constants is not None and accepted:
-        constants.accepted_delta = measured
     return GlobalRun(
         run=run,
         times=times,
@@ -594,9 +593,7 @@ def calibrate_delta(
     r: float,
     suite: KernelSuite,
     cfg: EvolveConfig,
-    delta0: float = 0.1,
-    max_halvings: int = 6,
-    constants: FittedConstants | None = None,
+    delta0: float,
 ) -> tuple[float, GlobalRun]:
     """Search downward (halving) for an amplitude whose global run is accepted.
 
@@ -606,11 +603,11 @@ def calibrate_delta(
     delta = delta0
     gate_free = replace(cfg, smallness_delta=math.inf)
     last_exc: Exception | None = None
-    for _ in range(max_halvings + 1):
-        u0, fn = profile(delta)
+    for _ in range(_MAX_HALVINGS + 1):
         try:
-            run = solve_global_small(u0, p, r, suite, gate_free, constants=constants, u0_fn=fn)
-        except (ValueError, FloatingPointError) as exc:  # pragma: no cover - defensive
+            u0, fn = profile(delta)
+            run = solve_global_small(u0, p, r, suite, gate_free, u0_fn=fn)
+        except (ValueError, FloatingPointError) as exc:
             last_exc = exc
             run = None
         if run is not None and run.accepted:

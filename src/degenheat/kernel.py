@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
-import threading
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -137,6 +138,10 @@ def propagate(mesh: SolverMesh, values: np.ndarray, t: float, steps: int) -> np.
     return out
 
 
+# rows within this many sqrt(t) of the zero-flux wall are boundary-affected
+_INTERIOR_MARGIN = 6.0
+
+
 @dataclass(frozen=True)
 class KernelTable:
     """Discretized fundamental solution at one time, with quadrature masses."""
@@ -145,8 +150,7 @@ class KernelTable:
     grid: Grid
     t: float
     steps: int
-    points: np.ndarray = field(repr=False)
-    masses: np.ndarray = field(repr=False)
+    mesh: SolverMesh = field(repr=False)
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -160,8 +164,16 @@ class KernelTable:
             raise KernelInvariantError(f"kernel asymmetry {asym:g} exceeds 1e-8 relative")
 
     @property
+    def points(self) -> np.ndarray:
+        return self.mesh.points
+
+    @property
+    def masses(self) -> np.ndarray:
+        return self.mesh.masses
+
+    @property
     def size(self) -> int:
-        return int(self.points.size)
+        return self.mesh.size
 
     def row_masses(self) -> np.ndarray:
         return self.matrix @ self.masses
@@ -172,9 +184,9 @@ class KernelTable:
             rm = rm[self.interior_mask()]
         return float(np.max(np.abs(rm - 1.0)))
 
-    def interior_mask(self, margin_factor: float = 6.0) -> np.ndarray:
+    def interior_mask(self) -> np.ndarray:
         """Rows far enough from the truncation boundary that reflections are tiny."""
-        margin = margin_factor * math.sqrt(self.t)
+        margin = _INTERIOR_MARGIN * math.sqrt(self.t)
         return np.abs(self.points) <= self.grid.radius - margin
 
     def apply(self, full_values: np.ndarray) -> np.ndarray:
@@ -203,8 +215,7 @@ def build_kernel(spec: WeightSpec, grid: Grid, t: float, steps: int) -> KernelTa
         grid=grid,
         t=float(t),
         steps=int(steps),
-        points=mesh.points,
-        masses=mesh.masses,
+        mesh=mesh,
         matrix=k,
     )
     np.clip(table.matrix, 0.0, None, out=table.matrix)
@@ -298,24 +309,30 @@ class _FitData:
     d_up2: np.ndarray
     d_low2: np.ndarray
     flat_exponent: float  # t^{-(n+alpha)/2}
-    mb_prod: np.ndarray  # min-branch prefactor product per entry
-    ball_prod: np.ndarray  # sqrt(w(B(x)) w(B(y))) per entry
+    mb_prod: np.ndarray | None  # min-branch prefactor product per entry ("minbranch")
+    ball_prod: np.ndarray | None  # sqrt(w(B(x)) w(B(y))) per entry ("sandwich")
 
 
-def _fit_data(tb: KernelTable) -> _FitData:
+def _fit_data(tb: KernelTable, kind: str) -> _FitData:
+    """Fit arrays for one table, with only the prefactor ``kind`` reads."""
     rows, cols, d_up, d_low = _comparison_entries(tb)
     n, a = tb.spec.dimension, tb.spec.alpha
-    mb = np.array([_min_branch(tb.spec, abs(p), tb.t) for p in tb.points])
-    rt = math.sqrt(tb.t)
-    wb = np.array([ball_mass(tb.spec, abs(p), rt) for p in tb.points])
+    mb_prod = ball_prod = None
+    if kind == "minbranch":
+        mb = np.array([_min_branch(tb.spec, abs(p), tb.t) for p in tb.points])
+        mb_prod = mb[rows] * mb[cols]
+    else:
+        rt = math.sqrt(tb.t)
+        wb = np.array([ball_mass(tb.spec, abs(p), rt) for p in tb.points])
+        ball_prod = np.sqrt(wb[rows] * wb[cols])
     return _FitData(
         t=tb.t,
         vals=tb.matrix[rows, cols],
         d_up2=d_up**2,
         d_low2=d_low**2,
         flat_exponent=tb.t ** (-(n + a) / 2.0),
-        mb_prod=mb[rows] * mb[cols],
-        ball_prod=np.sqrt(wb[rows] * wb[cols]),
+        mb_prod=mb_prod,
+        ball_prod=ball_prod,
     )
 
 
@@ -374,7 +391,7 @@ def fit_envelope_constants(
     kind = "minbranch" fits the explicit min-branch envelope; kind =
     "sandwich" fits the ball-mass-prefactor sandwich.
     """
-    data = [_fit_data(tb) for tb in tables]
+    data = [_fit_data(tb, kind) for tb in tables]
     up, up_cov = _bisect_constant(
         lambda c: _coverage_upper(data, c, kind), coverage_target, 1e-3, 1e6, True
     )
@@ -446,12 +463,15 @@ def composition_error(t_table: KernelTable, half_table: KernelTable) -> float:
     return float(np.max(rows[t_table.interior_mask()]))
 
 
+# strong-norm exponents of the row-decay regressions
+_SLOPE_RS = (2.0, INF)
+
+
 def verify_kernel(
     spec: WeightSpec,
     grid: Grid,
     times: list[float],
     steps: int = 256,
-    slope_rs: tuple[float, ...] = (2.0, INF),
     coverage_target: float = 0.99,
     suite: "KernelSuite | None" = None,
 ) -> KernelVerification:
@@ -494,7 +514,7 @@ def verify_kernel(
     n, a = spec.dimension, spec.alpha
     center = tables[0].size // 2 if spec.case is WeightCase.AXIS_POWER else 0
     slopes: list[SlopeFit] = []
-    for r in slope_rs:
+    for r in _SLOPE_RS:
         predicted = -(n + a) / 2.0 * (1.0 - (0.0 if r == INF else 1.0 / r))
         strong = [
             _row_norm(tb, center, r) for tb in tables
@@ -529,7 +549,11 @@ def _row_norm(tb: KernelTable, i: int, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# file layout: magic, header, grid digest, then points, masses and the
+# row-major matrix as little-endian float64
 _CACHE_MAGIC = b"DHKT0001"
+_CACHE_HEADER = struct.Struct("<Bqdddqq")  # case, n, exponent, R, t, steps, size
+_CACHE_PREFIX = len(_CACHE_MAGIC) + _CACHE_HEADER.size + 32
 
 
 def _grid_digest(grid: Grid) -> bytes:
@@ -563,23 +587,17 @@ class KernelSuite:
         self.mesh = solver_mesh(grid)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._tables: dict[float, KernelTable] = {}
-        self._lock = threading.Lock()
 
     # -- tables ------------------------------------------------------------
 
     def table(self, t: float) -> KernelTable:
         t = float(t)
-        # tables are immutable once built; the lock only guards the cache so
-        # concurrent sweep cells can share one suite
-        with self._lock:
-            if t in self._tables:
-                return self._tables[t]
-        loaded = self._load_cached(t)
-        built = loaded if loaded is not None else build_kernel(self.spec, self.grid, t, self.steps)
-        with self._lock:
-            self._tables.setdefault(t, built)
-        if loaded is None:
-            self._store_cached(built)
+        if t not in self._tables:
+            table = self._load_cached(t)
+            if table is None:
+                table = build_kernel(self.spec, self.grid, t, self.steps)
+                self._store_cached(table)
+            self._tables[t] = table
         return self._tables[t]
 
     # -- direct propagation -------------------------------------------------
@@ -624,8 +642,7 @@ class KernelSuite:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        header = _CACHE_MAGIC + struct.pack(
-            "<Bqdddqq",
+        header = _CACHE_MAGIC + _CACHE_HEADER.pack(
             0 if self.spec.case is WeightCase.AXIS_POWER else 1,
             self.spec.dimension,
             self.spec.exponent,
@@ -634,45 +651,55 @@ class KernelSuite:
             self.steps,
             table.size,
         )
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(_grid_digest(self.grid))
-            fh.write(table.points.astype("<f8").tobytes())
-            fh.write(table.masses.astype("<f8").tobytes())
-            fh.write(np.ascontiguousarray(table.matrix, dtype="<f8").tobytes())
+        # write aside and rename, so a reader never sees a partial file
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(header)
+                fh.write(_grid_digest(self.grid))
+                fh.write(table.points.astype("<f8").tobytes())
+                fh.write(table.masses.astype("<f8").tobytes())
+                fh.write(np.ascontiguousarray(table.matrix, dtype="<f8").tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def _load_cached(self, t: float) -> KernelTable | None:
+        """The cached table at time t, or None (a miss) unless the file is
+        whole and was written for this suite's spec, grid, mesh and steps."""
         path = self._cache_path(t)
         if path is None or not path.exists():
             return None
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_CACHE_MAGIC))
-            if magic != _CACHE_MAGIC:
-                return None
-            case_code, dim, expo, radius, tt, steps, size = struct.unpack(
-                "<Bqdddqq", fh.read(struct.calcsize("<Bqdddqq"))
-            )
-            digest = fh.read(32)
-            want_case = 0 if self.spec.case is WeightCase.AXIS_POWER else 1
-            if (
-                case_code != want_case
-                or dim != self.spec.dimension
-                or expo != self.spec.exponent
-                or radius != self.grid.radius
-                or tt != t
-                or steps != self.steps
-                or digest != _grid_digest(self.grid)
-            ):
-                return None
-            points = np.frombuffer(fh.read(8 * size), dtype="<f8").copy()
-            masses = np.frombuffer(fh.read(8 * size), dtype="<f8").copy()
-            matrix = np.frombuffer(fh.read(8 * size * size), dtype="<f8").reshape(size, size).copy()
+        data = path.read_bytes()
+        if len(data) < _CACHE_PREFIX or not data.startswith(_CACHE_MAGIC):
+            return None
+        case_code, dim, expo, radius, tt, steps, size = _CACHE_HEADER.unpack_from(
+            data, len(_CACHE_MAGIC)
+        )
+        want_case = 0 if self.spec.case is WeightCase.AXIS_POWER else 1
+        m = self.mesh.size
+        if (
+            case_code != want_case
+            or dim != self.spec.dimension
+            or expo != self.spec.exponent
+            or radius != self.grid.radius
+            or tt != t
+            or steps != self.steps
+            or size != m
+            or len(data) != _CACHE_PREFIX + 8 * m * (m + 2)
+            or data[_CACHE_PREFIX - 32 : _CACHE_PREFIX] != _grid_digest(self.grid)
+        ):
+            return None
+        arrays = np.frombuffer(data, dtype="<f8", offset=_CACHE_PREFIX)
+        if not (
+            np.array_equal(arrays[:m], self.mesh.points)
+            and np.array_equal(arrays[m : 2 * m], self.mesh.masses)
+        ):
+            return None
+        # Fortran order, as build_kernel leaves it, so later sums over the
+        # table add in the same order whether it was built or loaded
+        matrix = arrays[2 * m :].reshape(m, m).copy(order="F")
         return KernelTable(
-            spec=self.spec,
-            grid=self.grid,
-            t=t,
-            steps=steps,
-            points=points,
-            masses=masses,
-            matrix=matrix,
+            spec=self.spec, grid=self.grid, t=t, steps=steps, mesh=self.mesh, matrix=matrix
         )

@@ -49,15 +49,8 @@ def apply_semigroup(table: KernelTable, phi: GridFunction) -> GridFunction:
     """Integrate phi against the kernel at the table's time."""
     if phi.grid is not table.grid and not np.array_equal(phi.grid.nodes, table.grid.nodes):
         raise ValueError("kernel table and function live on different grids")
-    mesh_vals = table.apply(_extend_to(table, phi.values))
-    start = table.size - phi.grid.n_nodes
-    return GridFunction(phi.grid, mesh_vals[start:])
-
-
-def _extend_to(table: KernelTable, half_values: np.ndarray) -> np.ndarray:
-    if table.size == half_values.size:
-        return np.asarray(half_values, dtype=float)
-    return np.concatenate((half_values[:0:-1], half_values))
+    mesh = table.mesh
+    return GridFunction(phi.grid, mesh.restrict(table.apply(mesh.extend(phi.values))))
 
 
 def evolved_norm(table: KernelTable, phi: GridFunction, q: float, kind: str) -> float:

@@ -18,7 +18,6 @@ from degenheat.blowup import (
     sweep_dichotomy,
 )
 from degenheat.cli import main
-from degenheat.constants import FittedConstants
 from degenheat.evolve import (
     EvolveConfig,
     Outcome,
@@ -90,21 +89,11 @@ def wide_suite():
 def sweep_report(wide_suite):
     cfg = EvolveConfig(p=2.0, horizon=256.0, smallness_delta=1.0)
     return sweep_dichotomy(
-        build_spec=lambda a: WeightSpec(AX, a, 1),
-        build_suite=lambda spec: wide_suite,
-        build_sub_u0=lambda suite: suite.grid.function(bump(0.0, 1.0, 0.75)),
-        build_super_profile=lambda suite: (
-            lambda d, p: (
-                suite.grid.function(corollary_profile(d, p)),
-                corollary_profile(d, p),
-            )
-        ),
-        n=1,
+        suites=[wide_suite],
         p_values=SWEEP_P,
-        alpha_values=[0.5],
         cfg=cfg,
+        sub_u0="bump(0,1,0.75)",
         delta0=0.1,
-        constants=FittedConstants(),
         super_horizon=65536.0,
     )
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from degenheat import blowup
 from degenheat.blowup import (
     CellOutcome,
     DichotomyReport,
@@ -16,6 +17,7 @@ from degenheat.blowup import (
     kaplan_bound_series,
     kaplan_cstar_log_bound,
     log_ak,
+    run_cell,
     subcritical_escape,
 )
 from degenheat.evolve import EvolveConfig
@@ -196,6 +198,17 @@ class TestClassify:
         assert small.kind == "blowup"
         assert big.kind == "blowup"
         assert big.escape_time <= small.escape_time * (1.0 + 1e-9)
+
+    def test_failing_profile_ends_inconclusive(self, suite, monkeypatch):
+        # calibrate_delta treats a profile error like a rejected amplitude
+        def broken_profile(delta, p):
+            raise ValueError("profile exploded")
+
+        monkeypatch.setattr(blowup, "corollary_profile", broken_profile)
+        u0 = suite.grid.function(bump(0.0, 1.0, 0.75))
+        cell = run_cell(suite.spec, suite, 3.0, EvolveConfig(p=3.0), u0, 0.1, 256.0)
+        assert cell.kind == "inconclusive"
+        assert "profile exploded" in cell.reason
 
 
 class TestReport:

@@ -48,6 +48,20 @@ class TestConfigParsing:
         cfg = parse_config_text("weight.case = axis\ndecay.pairs = 1:inf:strong,2:inf:weak\n")
         assert cfg.decay_pairs == ((1.0, math.inf, "strong"), (2.0, math.inf, "weak"))
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("sweep.alpha = 0.5,1.5", "sweep.alpha"),
+            ("sweep.alpha = -0.5", "sweep.alpha"),
+            ("sweep.p = 0.5,3.0", "sweep.p"),
+            ("sweep.delta0 = 0", "sweep.delta0"),
+            ("sweep.super_horizon = -1", "sweep.super_horizon"),
+        ],
+    )
+    def test_bad_sweep_value_cites_line_and_field(self, line, field):
+        with pytest.raises(ConfigError, match=f"line 2, field {field}"):
+            parse_config_text(f"weight.case = axis\n{line}\n")
+
     def test_manifest_lines_cover_all_keys(self):
         cfg = parse_config_text("weight.case = axis\nweight.exponent = 0.5\n")
         keys = {line.split(" = ")[0] for line in cfg.manifest_lines()}
@@ -111,6 +125,12 @@ class TestCliCommands:
         assert rc == 2
         assert "a < 1" in capsys.readouterr().err
 
+    def test_bad_sweep_value_exits_two(self, tmp_path, capsys):
+        cfgp = write_cfg(tmp_path, {"sweep.p": "1.8,3.0", "sweep.alpha": "1.5"})
+        rc = main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "field sweep.alpha" in capsys.readouterr().err
+
     def test_missing_config_exits_two(self, tmp_path):
         rc = main(["lorentz-selftest", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert rc == 2
@@ -131,6 +151,17 @@ class TestCliCommands:
         assert main(["kernel-verify", "--config", str(cfgp), "--out", str(out)]) == 0
         body = (out / "kernel_report.csv").read_text()
         assert "k1_row_mass_error" in body and "envelope_upper" in body
+
+    def test_kernel_verify_warm_cache_same_bytes(self, tmp_path):
+        cfgp = write_cfg(
+            tmp_path, {"kernel.times": "0.25,0.5,1,2", "kernel.cache_dir": str(tmp_path / "cache")}
+        )
+        reports = []
+        for name in ("cold", "warm"):
+            out = tmp_path / name
+            assert main(["kernel-verify", "--config", str(cfgp), "--out", str(out)]) == 0
+            reports.append((out / "kernel_report.csv").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_kernel_verify_reports_gaussian_line_when_unweighted(self, tmp_path):
         cfgp = write_cfg(
@@ -199,7 +230,7 @@ class TestCliCommands:
         assert svg.startswith("<svg")
         manifest = (outs[0] / "manifest.txt").read_text()
         assert "seed = 7" in manifest
-        # parallel cells give the same bytes
+        # --jobs is accepted for compatibility and changes nothing
         out3 = tmp_path / "o3"
         assert main([
             "sweep", "--config", str(cfgp), "--out", str(out3), "--seed", "7", "--jobs", "2",

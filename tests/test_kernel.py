@@ -55,14 +55,14 @@ class TestStructure:
         bad = tb.matrix.copy()
         bad[3, 5] = -1e-6
         with pytest.raises(KernelInvariantError):
-            KernelTable(tb.spec, tb.grid, tb.t, tb.steps, tb.points, tb.masses, bad)
+            KernelTable(tb.spec, tb.grid, tb.t, tb.steps, tb.mesh, bad)
 
     def test_asymmetry_rejected(self, suites):
         tb = suites[DESK_SPECS[0]].table(1.0)
         bad = tb.matrix.copy()
         bad[3, 5] *= 1.5
         with pytest.raises(KernelInvariantError):
-            KernelTable(tb.spec, tb.grid, tb.t, tb.steps, tb.points, tb.masses, bad)
+            KernelTable(tb.spec, tb.grid, tb.t, tb.steps, tb.mesh, bad)
 
 
 class TestClassicalOracle:
@@ -160,7 +160,7 @@ class TestEnvelopeFits:
         c = tb.size // 2
         broken[c, c] = 0.0
         broken[c, :] = broken[:, c] = 0.0
-        doctored = KernelTable(tb.spec, tb.grid, tb.t, tb.steps, tb.points, tb.masses, broken)
+        doctored = KernelTable(tb.spec, tb.grid, tb.t, tb.steps, tb.mesh, broken)
         with pytest.raises(EnvelopeFitError):
             fit_envelope_constants([doctored], coverage_target=0.999999, kind="minbranch")
 
@@ -198,6 +198,27 @@ class TestSuiteCache:
         tb2 = s2.table(0.5)
         assert np.array_equal(tb.matrix, tb2.matrix)
         assert np.array_equal(tb.points, tb2.points)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: data[: len(data) // 2],  # truncated
+            lambda data: data[:89],  # magic, header and grid digest only
+            lambda data: b"XXXX0001" + data[8:],  # foreign magic
+        ],
+        ids=["truncated", "header_only", "foreign_magic"],
+    )
+    def test_damaged_cache_file_is_rebuilt(self, tmp_path, damage):
+        spec = WeightSpec(AX, 0.5, 1)
+        grid = make_grid(spec, 8.0, 32, 2.0)
+        tb = KernelSuite(spec, grid, steps=16, cache_dir=tmp_path).table(0.5)
+        (path,) = tmp_path.glob("kernel_*.bin")
+        whole = path.read_bytes()
+        path.write_bytes(damage(whole))
+        tb2 = KernelSuite(spec, grid, steps=16, cache_dir=tmp_path).table(0.5)
+        assert np.array_equal(tb.matrix, tb2.matrix)
+        assert path.read_bytes() == whole
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_cache_key_separates_steps(self, tmp_path):
         spec = WeightSpec(AX, 0.5, 1)
