@@ -14,6 +14,10 @@ Fluxes use the exact face value of the weight, so the discrete weighted mass
 is conserved to solver tolerance and the unit row/column mass property holds
 by construction.  Zero-flux truncation at R; no condition is imposed at the
 singular point, where the vanishing face weight encodes the degeneracy.
+
+Every ``propagate`` call factors its tridiagonal step matrix I - dt A once
+with LAPACK ``dgttrf`` and then takes each step as one ``dgttrs`` solve over
+all right-hand-side columns.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .lorentz import INF, LorentzIndex, StepFunction, lorentz_norm
 from .weights import Grid, WeightCase, WeightSpec, ball_mass
@@ -115,27 +120,26 @@ def solver_mesh(grid: Grid) -> SolverMesh:
     return SolverMesh(points=points, masses=masses, lower=lower, upper=upper, center=center)
 
 
-def _implicit_band(mesh: SolverMesh, dt: float) -> np.ndarray:
-    """Banded form of I - dt*A for scipy.linalg.solve_banded."""
-    m = mesh.size
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -dt * mesh.upper[:-1]
-    ab[2, :-1] = -dt * mesh.lower[1:]
-    ab[1, :] = 1.0 + dt * (mesh.upper + mesh.lower)
-    return ab
-
-
 def propagate(mesh: SolverMesh, values: np.ndarray, t: float, steps: int) -> np.ndarray:
-    """Apply the implicit semigroup over time t with the given step count."""
+    """Apply the implicit semigroup over time t with the given step count.
+
+    I - (t/steps) A is factored once (``dgttrf``) and each step is one
+    ``dgttrs`` solve, in place, on all columns of ``values`` at once.
+    """
     if t == 0.0 or steps == 0:
         return np.asarray(values, dtype=float).copy()
     if t < 0.0:
         raise ValueError(f"propagation time must be nonnegative, got {t}")
-    ab = _implicit_band(mesh, t / steps)
-    out = np.asarray(values, dtype=float)
+    dt = t / steps
+    dl, d, du, du2, ipiv, info = dgttrf(
+        -dt * mesh.lower[1:], 1.0 + dt * (mesh.upper + mesh.lower), -dt * mesh.upper[:-1]
+    )
+    if info != 0:
+        raise LinAlgError(f"implicit step matrix is singular (dgttrf info={info})")
+    out = np.array(np.asarray_chkfinite(values, dtype=float), order="F")
     for _ in range(steps):
-        out = solve_banded((1, 1), ab, out, overwrite_ab=False, overwrite_b=False)
-    return out
+        out, _info = dgttrs(dl, d, du, du2, ipiv, out, overwrite_b=True)
+    return np.asarray_chkfinite(out)
 
 
 # rows within this many sqrt(t) of the zero-flux wall are boundary-affected
@@ -199,13 +203,17 @@ class KernelTable:
 
 def build_kernel(spec: WeightSpec, grid: Grid, t: float, steps: int) -> KernelTable:
     """Evolve normalized per-cell indicators to time t, one column per cell."""
+    if grid.spec != spec:
+        raise ValueError("grid was built for a different weight spec")
+    return _build_table(spec, grid, solver_mesh(grid), t, steps)
+
+
+def _build_table(spec: WeightSpec, grid: Grid, mesh: SolverMesh, t: float, steps: int) -> KernelTable:
+    """``build_kernel`` on a mesh already built from ``grid``."""
     if not t > 0.0:
         raise ValueError(f"kernel time must be positive, got {t}")
     if steps < 1:
         raise ValueError(f"step count must be positive, got {steps}")
-    if grid.spec != spec:
-        raise ValueError("grid was built for a different weight spec")
-    mesh = solver_mesh(grid)
     start = np.diag(1.0 / mesh.masses)
     k = propagate(mesh, start, t, steps)
     # solver roundoff may leave harmless negative dust; the constructor
@@ -550,8 +558,8 @@ def _row_norm(tb: KernelTable, i: int, r: float) -> float:
 
 
 # file layout: magic, header, grid digest, then points, masses and the
-# row-major matrix as little-endian float64
-_CACHE_MAGIC = b"DHKT0001"
+# row-major matrix as little-endian float64, then the SHA-256 of those arrays
+_CACHE_MAGIC = b"DHKT0002"
 _CACHE_HEADER = struct.Struct("<Bqdddqq")  # case, n, exponent, R, t, steps, size
 _CACHE_PREFIX = len(_CACHE_MAGIC) + _CACHE_HEADER.size + 32
 
@@ -595,7 +603,7 @@ class KernelSuite:
         if t not in self._tables:
             table = self._load_cached(t)
             if table is None:
-                table = build_kernel(self.spec, self.grid, t, self.steps)
+                table = _build_table(self.spec, self.grid, self.mesh, t, self.steps)
                 self._store_cached(table)
             self._tables[t] = table
         return self._tables[t]
@@ -657,9 +665,12 @@ class KernelSuite:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(header)
                 fh.write(_grid_digest(self.grid))
-                fh.write(table.points.astype("<f8").tobytes())
-                fh.write(table.masses.astype("<f8").tobytes())
-                fh.write(np.ascontiguousarray(table.matrix, dtype="<f8").tobytes())
+                payload = hashlib.sha256()
+                for arr in (table.points, table.masses, table.matrix):
+                    chunk = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                    payload.update(chunk)
+                    fh.write(chunk)
+                fh.write(payload.digest())
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -667,7 +678,8 @@ class KernelSuite:
 
     def _load_cached(self, t: float) -> KernelTable | None:
         """The cached table at time t, or None (a miss) unless the file is
-        whole and was written for this suite's spec, grid, mesh and steps."""
+        whole, its payload matches its checksum, and it was written for this
+        suite's spec, grid, mesh and steps."""
         path = self._cache_path(t)
         if path is None or not path.exists():
             return None
@@ -687,11 +699,14 @@ class KernelSuite:
             or tt != t
             or steps != self.steps
             or size != m
-            or len(data) != _CACHE_PREFIX + 8 * m * (m + 2)
+            or len(data) != _CACHE_PREFIX + 8 * m * (m + 2) + 32
             or data[_CACHE_PREFIX - 32 : _CACHE_PREFIX] != _grid_digest(self.grid)
         ):
             return None
-        arrays = np.frombuffer(data, dtype="<f8", offset=_CACHE_PREFIX)
+        body = memoryview(data)[_CACHE_PREFIX:-32]
+        if hashlib.sha256(body).digest() != data[-32:]:
+            return None
+        arrays = np.frombuffer(body, dtype="<f8")
         if not (
             np.array_equal(arrays[:m], self.mesh.points)
             and np.array_equal(arrays[m : 2 * m], self.mesh.masses)

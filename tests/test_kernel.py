@@ -2,17 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, solve_banded
 from scipy.special import i0e
 
+from degenheat import kernel
 from degenheat.kernel import (
     EnvelopeFitError,
     KernelInvariantError,
     KernelSuite,
     KernelTable,
+    SolverMesh,
     build_kernel,
     composition_error,
     fit_envelope_constants,
     kernel_bounds,
+    propagate,
+    solver_mesh,
     verify_kernel,
 )
 from degenheat.weights import WeightCase, WeightSpec, make_grid
@@ -186,6 +193,12 @@ class TestVerifyKernel:
             verify_kernel(spec, suites[spec].grid, [0.5, 1.0, 2.0, 3.0], suite=suites[spec])
 
 
+def _flip_byte(data: bytes, offset: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[offset] ^= 0x10
+    return bytes(flipped)
+
+
 class TestSuiteCache:
     def test_roundtrip_binary_cache(self, tmp_path):
         spec = WeightSpec(AX, 0.5, 1)
@@ -205,8 +218,11 @@ class TestSuiteCache:
             lambda data: data[: len(data) // 2],  # truncated
             lambda data: data[:89],  # magic, header and grid digest only
             lambda data: b"XXXX0001" + data[8:],  # foreign magic
+            lambda data: b"DHKT0001" + data[8:],  # the format before the checksum
+            lambda data: _flip_byte(data, len(data) // 2),  # one matrix byte
+            lambda data: _flip_byte(data, len(data) - 7),  # one checksum byte
         ],
-        ids=["truncated", "header_only", "foreign_magic"],
+        ids=["truncated", "header_only", "foreign_magic", "old_magic", "matrix_bit", "checksum_bit"],
     )
     def test_damaged_cache_file_is_rebuilt(self, tmp_path, damage):
         spec = WeightSpec(AX, 0.5, 1)
@@ -219,6 +235,18 @@ class TestSuiteCache:
         assert np.array_equal(tb.matrix, tb2.matrix)
         assert path.read_bytes() == whole
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_suite_builds_tables_on_its_own_mesh(self, monkeypatch):
+        spec = WeightSpec(RAD, 1.0, 2)
+        grid = make_grid(spec, 8.0, 32, 2.0)
+        calls = []
+        monkeypatch.setattr(kernel, "solver_mesh", lambda g: calls.append(g) or solver_mesh(g))
+        suite = KernelSuite(spec, grid, steps=16)
+        tables = [suite.table(t) for t in (0.25, 0.5)]
+        assert len(calls) == 1
+        for tb in tables:
+            assert tb.mesh is suite.mesh
+            assert np.array_equal(tb.matrix, build_kernel(spec, grid, tb.t, 16).matrix)
 
     def test_cache_key_separates_steps(self, tmp_path):
         spec = WeightSpec(AX, 0.5, 1)
@@ -237,3 +265,101 @@ class TestSuiteCache:
         via_table = tb.apply(v)
         via_steps = suite.propagate(v, 0.5, 64)
         assert np.max(np.abs(via_table - via_steps)) < 1e-10 * np.max(np.abs(via_steps))
+
+
+def _banded_reference(mesh, values, t, steps):
+    """The stepping route before factorization: one solve_banded per step."""
+    dt = t / steps
+    ab = np.zeros((3, mesh.size))
+    ab[0, 1:] = -dt * mesh.upper[:-1]
+    ab[2, :-1] = -dt * mesh.lower[1:]
+    ab[1, :] = 1.0 + dt * (mesh.upper + mesh.lower)
+    out = np.asarray(values, dtype=float)
+    for _ in range(steps):
+        out = solve_banded((1, 1), ab, out)
+    return out
+
+
+@st.composite
+def _weights(draw):
+    """Axis or radial weights, with exponents down to 1e-9 below their bound."""
+    n = draw(st.integers(1, 3))
+    case = draw(st.sampled_from([AX, RAD]))
+    bound = 1.0 if case is AX else float(n)
+    gap = draw(st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, bound)))
+    return WeightSpec(case, max(bound - gap, 0.0), n)
+
+
+class TestFactoredPropagation:
+    @given(
+        spec=_weights(),
+        radius=st.floats(1.0, 64.0),
+        cells=st.integers(16, 48),
+        grading=st.floats(1.0, 4.0),
+        t=st.floats(1e-4, 50.0),
+        steps=st.integers(1, 12),
+        columns=st.sampled_from([0, 1, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_banded_route(self, spec, radius, cells, grading, t, steps, columns, seed):
+        mesh = solver_mesh(make_grid(spec, radius, cells, grading))
+        rng = np.random.default_rng(seed)
+        shape = (mesh.size,) if columns == 0 else (mesh.size, columns)
+        values = rng.uniform(0.0, 2.0, shape)
+        got = propagate(mesh, values, t, steps)
+        want = _banded_reference(mesh, values, t, steps)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_kernel_table_bit_identical_to_banded_route(self):
+        spec = WeightSpec(RAD, 1.0, 2)
+        tb = build_kernel(spec, make_grid(spec, 8.0, 32, 2.0), 0.5, 16)
+        want = _banded_reference(tb.mesh, np.diag(1.0 / tb.masses), 0.5, 16)
+        assert np.array_equal(tb.matrix, np.clip(want, 0.0, None))
+        assert tb.matrix.flags.f_contiguous
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_values_rejected(self, bad):
+        spec = WeightSpec(AX, 0.5, 1)
+        mesh = solver_mesh(make_grid(spec, 8.0, 16, 2.0))
+        values = np.ones(mesh.size)
+        values[3] = bad
+        with pytest.raises(ValueError):
+            propagate(mesh, values, 1.0, 4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_time_rejected(self, bad):
+        spec = WeightSpec(RAD, 1.0, 2)
+        mesh = solver_mesh(make_grid(spec, 8.0, 16, 2.0))
+        with pytest.raises(ValueError):
+            propagate(mesh, np.ones(mesh.size), bad, 4)
+
+    def test_negative_time_rejected(self):
+        spec = WeightSpec(AX, 0.5, 1)
+        mesh = solver_mesh(make_grid(spec, 8.0, 16, 2.0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            propagate(mesh, np.ones(mesh.size), -1.0, 4)
+
+    @pytest.mark.parametrize("t, steps", [(0.0, 4), (1.0, 0)])
+    def test_no_step_returns_copy(self, t, steps):
+        spec = WeightSpec(AX, 0.5, 1)
+        mesh = solver_mesh(make_grid(spec, 8.0, 16, 2.0))
+        values = np.linspace(0.0, 1.0, mesh.size)
+        out = propagate(mesh, values, t, steps)
+        assert out is not values
+        assert np.array_equal(out, values)
+        out[0] = 5.0
+        assert values[0] == 0.0
+
+    def test_singular_step_matrix_raises(self):
+        # a generator whose first row makes I - A start with a zero pivot
+        mesh = SolverMesh(
+            points=np.arange(3.0),
+            masses=np.ones(3),
+            lower=np.zeros(3),
+            upper=np.array([-1.0, 0.0, 0.0]),
+            center=0,
+        )
+        with pytest.raises(LinAlgError):
+            propagate(mesh, np.ones(3), 1.0, 1)
