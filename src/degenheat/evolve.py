@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import FittedConstants
-from .kernel import KernelSuite
+from .kernel import KernelSuite, _implicit_step
 from .lorentz import INF, LorentzIndex, lorentz_norm, weighted_lp_norm
 from .weights import GridFunction
 
@@ -330,9 +330,9 @@ def split_step_reference(
         seg = t - now
         nsteps = max(1, int(math.ceil(seg / dt)))
         h = seg / nsteps
+        step = _implicit_step(suite.mesh, h)  # factored once per segment
         for _ in range(nsteps):
-            v = suite.propagate(v, h, 1)
-            v = _reaction_flow(v, p, h)
+            v = _reaction_flow(np.asarray_chkfinite(step(v)), p, h)
         now = t
         out[t] = suite.restrict(v)
     return out

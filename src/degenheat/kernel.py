@@ -1,7 +1,7 @@
 """Numerical fundamental solution of  d_t u = w^{-1} div(w grad u).
 
-No closed form exists for these weights, so the kernel is built by evolving
-per-cell unit masses with an unconditionally stable implicit scheme in
+No closed form exists for these weights, so the kernel is the discrete
+fundamental solution of an unconditionally stable implicit scheme in
 conservative flux form on the graded mesh:
 
 * axis case: the 1-D operator |x|^{-a} d_x(|x|^a d_x .) on the mirrored mesh
@@ -18,21 +18,34 @@ singular point, where the vanishing face weight encodes the degeneracy.
 Every ``propagate`` call factors its tridiagonal step matrix I - dt A once
 with LAPACK ``dgttrf`` and then takes each step as one ``dgttrs`` solve over
 all right-hand-side columns.
+
+Kernel tables take the same steps in closed form.  The generator is
+A = -M^{-1} L with L symmetric tridiagonal and M the diagonal of cell
+masses, so S = M^{1/2} (-A) M^{-1/2} is symmetric tridiagonal and, with
+S = V diag(lam) V^T from LAPACK ``dstemr`` (MRRR, Dhillon-Parlett), the
+table after ``steps`` steps of size dt is
+
+    K(t) = W diag((1 + dt lam)^{-steps}) W^T,    W = M^{-1/2} V.
+
+A ``KernelSuite`` computes W once, on its first table build, and checks
+every table it builds against ``propagate`` on a probe vector.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 import os
 import struct
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dstemr
 
 from .lorentz import INF, LorentzIndex, StepFunction, lorentz_norm
 from .weights import Grid, WeightCase, WeightSpec, ball_mass
@@ -128,18 +141,29 @@ def propagate(mesh: SolverMesh, values: np.ndarray, t: float, steps: int) -> np.
     """
     if t == 0.0 or steps == 0:
         return np.asarray(values, dtype=float).copy()
-    if t < 0.0:
-        raise ValueError(f"propagation time must be nonnegative, got {t}")
-    dt = t / steps
+    step = _implicit_step(mesh, t / steps)
+    out = np.array(np.asarray_chkfinite(values, dtype=float), order="F")
+    for _ in range(steps):
+        out = step(out)
+    return np.asarray_chkfinite(out)
+
+
+def _implicit_step(mesh: SolverMesh, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+    """One implicit step of size dt: I - dt A is factored here (``dgttrf``),
+    and the returned function solves it (``dgttrs``) in place on a float64
+    Fortran-ordered array, returning the result."""
+    if dt < 0.0:
+        raise ValueError(f"propagation time must be nonnegative, got a step of {dt}")
     dl, d, du, du2, ipiv, info = dgttrf(
         -dt * mesh.lower[1:], 1.0 + dt * (mesh.upper + mesh.lower), -dt * mesh.upper[:-1]
     )
     if info != 0:
         raise LinAlgError(f"implicit step matrix is singular (dgttrf info={info})")
-    out = np.array(np.asarray_chkfinite(values, dtype=float), order="F")
-    for _ in range(steps):
-        out, _info = dgttrs(dl, d, du, du2, ipiv, out, overwrite_b=True)
-    return np.asarray_chkfinite(out)
+
+    def step(values: np.ndarray) -> np.ndarray:
+        return dgttrs(dl, d, du, du2, ipiv, values, overwrite_b=True)[0]
+
+    return step
 
 
 # rows within this many sqrt(t) of the zero-flux wall are boundary-affected
@@ -202,32 +226,8 @@ class KernelTable:
 
 
 def build_kernel(spec: WeightSpec, grid: Grid, t: float, steps: int) -> KernelTable:
-    """Evolve normalized per-cell indicators to time t, one column per cell."""
-    if grid.spec != spec:
-        raise ValueError("grid was built for a different weight spec")
-    return _build_table(spec, grid, solver_mesh(grid), t, steps)
-
-
-def _build_table(spec: WeightSpec, grid: Grid, mesh: SolverMesh, t: float, steps: int) -> KernelTable:
-    """``build_kernel`` on a mesh already built from ``grid``."""
-    if not t > 0.0:
-        raise ValueError(f"kernel time must be positive, got {t}")
-    if steps < 1:
-        raise ValueError(f"step count must be positive, got {steps}")
-    start = np.diag(1.0 / mesh.masses)
-    k = propagate(mesh, start, t, steps)
-    # solver roundoff may leave harmless negative dust; the constructor
-    # rejects anything beyond -1e-10 before we clip
-    table = KernelTable(
-        spec=spec,
-        grid=grid,
-        t=float(t),
-        steps=int(steps),
-        mesh=mesh,
-        matrix=k,
-    )
-    np.clip(table.matrix, 0.0, None, out=table.matrix)
-    return table
+    """The kernel table at time t after ``steps`` implicit steps."""
+    return KernelSuite(spec, grid, steps=steps).table(t)
 
 
 def _min_branch(spec: WeightSpec, coord: float, t: float) -> float:
@@ -557,9 +557,50 @@ def _row_norm(tb: KernelTable, i: int, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _spectrum(mesh: SolverMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lam of -A, ascending, and the scaled eigenvectors W = M^{-1/2} V.
+
+    V holds the orthonormal eigenvectors of the symmetric tridiagonal
+    S = M^{1/2} (-A) M^{-1/2}: its diagonal is upper + lower and its
+    off-diagonal -cond_i / sqrt(m_i m_{i+1}) = -sqrt(upper_i lower_{i+1}).
+    """
+    off = np.zeros(mesh.size)  # dstemr takes e with n entries, the last unused
+    off[:-1] = -np.sqrt(mesh.upper[:-1] * mesh.lower[1:])
+    _found, lam, v, info = dstemr(mesh.upper + mesh.lower, off, 0, 0.0, 0.0, 0, 0)
+    if info != 0:
+        raise LinAlgError(f"tridiagonal eigensolver failed (dstemr info={info})")
+    # -A conserves mass, so its least eigenvalue is exactly 0.  dstemr finds it
+    # only to about eps * max(lam), measured up to 1.6e-10 on steeply graded
+    # meshes, which would move a table at time t by t * |lam[0]| of its max
+    lam[0] = 0.0
+    v /= np.sqrt(mesh.masses)[:, None]
+    return lam, v
+
+
+def _table_matrix(lam: np.ndarray, w: np.ndarray, t: float, steps: int) -> np.ndarray:
+    """W diag((1 + (t/steps) lam)^{-steps}) W^T, in Fortran order."""
+    g = (1.0 + (t / steps) * lam) ** -steps
+    # the transpose of a C-ordered product, so Fortran-ordered like a loaded table
+    return (w @ (w * g).T).T
+
+
+# a built table must reproduce propagate on the probe vector to this share of
+# the result's max.  Measured gaps: <= 9e-12 on the desk meshes (R 16 and 32,
+# 256-512 cells, t 0.125-4); on the wide sweep grid 7e-13 with dstemr but
+# 1.8e-5 (t = 1) and 1.2e-3 (t = 64) with scipy's default eigh_tridiagonal
+_PROBE_RTOL = 1e-6
+
+
+def _probe_vector(size: int) -> np.ndarray:
+    """A fixed positive vector; pseudo-random, so it weighs every eigenvector."""
+    return np.random.default_rng(0).uniform(0.5, 1.5, size)
+
+
+_log = logging.getLogger(__name__)
+
 # file layout: magic, header, grid digest, then points, masses and the
 # row-major matrix as little-endian float64, then the SHA-256 of those arrays
-_CACHE_MAGIC = b"DHKT0002"
+_CACHE_MAGIC = b"DHKT0003"
 _CACHE_HEADER = struct.Struct("<Bqdddqq")  # case, n, exponent, R, t, steps, size
 _CACHE_PREFIX = len(_CACHE_MAGIC) + _CACHE_HEADER.size + 32
 
@@ -575,9 +616,11 @@ class KernelSuite:
     """Provider of kernel tables and direct semigroup propagation.
 
     Tables share one grid and step policy and are cached in memory (and
-    optionally on disk).  ``propagate`` steps raw mesh vectors with the same
-    discrete generator the tables are built from, so table application and
-    direct stepping agree up to time-discretization error.
+    optionally on disk).  The first table built computes the spectrum of the
+    generator, which every later build reuses; a suite whose tables all come
+    from the cache never computes it.  ``propagate`` steps raw mesh vectors
+    with the same implicit steps the tables are built from, so table
+    application and direct stepping agree to roundoff.
     """
 
     def __init__(
@@ -595,6 +638,7 @@ class KernelSuite:
         self.mesh = solver_mesh(grid)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._tables: dict[float, KernelTable] = {}
+        self._eigen: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- tables ------------------------------------------------------------
 
@@ -603,10 +647,35 @@ class KernelSuite:
         if t not in self._tables:
             table = self._load_cached(t)
             if table is None:
-                table = _build_table(self.spec, self.grid, self.mesh, t, self.steps)
+                table = self._build(t)
                 self._store_cached(table)
             self._tables[t] = table
         return self._tables[t]
+
+    def _build(self, t: float) -> KernelTable:
+        """The table at time t from the spectrum, checked on the probe vector."""
+        if not t > 0.0:
+            raise ValueError(f"kernel time must be positive, got {t}")
+        if self.steps < 1:
+            raise ValueError(f"step count must be positive, got {self.steps}")
+        if self._eigen is None:
+            self._eigen = _spectrum(self.mesh)
+        matrix = _table_matrix(*self._eigen, t, self.steps)
+        # roundoff may leave harmless negative dust; the constructor
+        # rejects anything beyond -1e-10 before we clip
+        table = KernelTable(
+            spec=self.spec, grid=self.grid, t=t, steps=self.steps, mesh=self.mesh, matrix=matrix
+        )
+        np.clip(table.matrix, 0.0, None, out=table.matrix)
+        probe = _probe_vector(self.mesh.size)
+        want = propagate(self.mesh, probe, t, self.steps)
+        gap = float(np.max(np.abs(table.apply(probe) - want)))
+        if not gap <= _PROBE_RTOL * float(np.max(want)):
+            raise KernelInvariantError(
+                f"kernel table at t={t:g} misses the stepped probe by {gap:g} "
+                f"(bound {_PROBE_RTOL:g} of its max)"
+            )
+        return table
 
     # -- direct propagation -------------------------------------------------
 
@@ -679,13 +748,18 @@ class KernelSuite:
     def _load_cached(self, t: float) -> KernelTable | None:
         """The cached table at time t, or None (a miss) unless the file is
         whole, its payload matches its checksum, and it was written for this
-        suite's spec, grid, mesh and steps."""
+        suite's spec, grid, mesh and steps.  Each miss is logged with its
+        reason at INFO."""
         path = self._cache_path(t)
-        if path is None or not path.exists():
+        if path is None:
             return None
+        if not path.exists():
+            return _miss(path, "absent")
         data = path.read_bytes()
-        if len(data) < _CACHE_PREFIX or not data.startswith(_CACHE_MAGIC):
-            return None
+        if not data.startswith(_CACHE_MAGIC):
+            return _miss(path, "magic")
+        if len(data) < _CACHE_PREFIX:
+            return _miss(path, "size")
         case_code, dim, expo, radius, tt, steps, size = _CACHE_HEADER.unpack_from(
             data, len(_CACHE_MAGIC)
         )
@@ -699,22 +773,29 @@ class KernelSuite:
             or tt != t
             or steps != self.steps
             or size != m
-            or len(data) != _CACHE_PREFIX + 8 * m * (m + 2) + 32
-            or data[_CACHE_PREFIX - 32 : _CACHE_PREFIX] != _grid_digest(self.grid)
         ):
-            return None
+            return _miss(path, "header")
+        if len(data) != _CACHE_PREFIX + 8 * m * (m + 2) + 32:
+            return _miss(path, "size")
+        if data[_CACHE_PREFIX - 32 : _CACHE_PREFIX] != _grid_digest(self.grid):
+            return _miss(path, "grid digest")
         body = memoryview(data)[_CACHE_PREFIX:-32]
         if hashlib.sha256(body).digest() != data[-32:]:
-            return None
+            return _miss(path, "checksum")
         arrays = np.frombuffer(body, dtype="<f8")
         if not (
             np.array_equal(arrays[:m], self.mesh.points)
             and np.array_equal(arrays[m : 2 * m], self.mesh.masses)
         ):
-            return None
-        # Fortran order, as build_kernel leaves it, so later sums over the
-        # table add in the same order whether it was built or loaded
+            return _miss(path, "mesh")
+        # Fortran order, as a built table, so later sums over the table add
+        # in the same order whether it was built or loaded
         matrix = arrays[2 * m :].reshape(m, m).copy(order="F")
         return KernelTable(
             spec=self.spec, grid=self.grid, t=t, steps=steps, mesh=self.mesh, matrix=matrix
         )
+
+
+def _miss(path: Path, reason: str) -> None:
+    _log.info("kernel cache miss (%s): %s", reason, path)
+    return None

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -219,10 +220,19 @@ class TestSuiteCache:
             lambda data: data[:89],  # magic, header and grid digest only
             lambda data: b"XXXX0001" + data[8:],  # foreign magic
             lambda data: b"DHKT0001" + data[8:],  # the format before the checksum
+            lambda data: b"DHKT0002" + data[8:],  # tables from banded steps
             lambda data: _flip_byte(data, len(data) // 2),  # one matrix byte
             lambda data: _flip_byte(data, len(data) - 7),  # one checksum byte
         ],
-        ids=["truncated", "header_only", "foreign_magic", "old_magic", "matrix_bit", "checksum_bit"],
+        ids=[
+            "truncated",
+            "header_only",
+            "foreign_magic",
+            "old_magic",
+            "banded_magic",
+            "matrix_bit",
+            "checksum_bit",
+        ],
     )
     def test_damaged_cache_file_is_rebuilt(self, tmp_path, damage):
         spec = WeightSpec(AX, 0.5, 1)
@@ -235,6 +245,34 @@ class TestSuiteCache:
         assert np.array_equal(tb.matrix, tb2.matrix)
         assert path.read_bytes() == whole
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_cache_miss_is_logged_with_its_reason(self, tmp_path, caplog):
+        spec = WeightSpec(AX, 0.5, 1)
+        grid = make_grid(spec, 8.0, 32, 2.0)
+        KernelSuite(spec, grid, steps=16, cache_dir=tmp_path).table(0.5)
+        (path,) = tmp_path.glob("kernel_*.bin")
+        data = path.read_bytes()
+        path.write_bytes(_flip_byte(data, len(data) // 2))
+        with caplog.at_level(logging.INFO, logger="degenheat.kernel"):
+            KernelSuite(spec, grid, steps=16, cache_dir=tmp_path).table(0.5)
+        (record,) = caplog.records
+        assert record.levelno == logging.INFO
+        assert "(checksum)" in record.getMessage()
+        assert path.name in record.getMessage()
+
+    def test_warm_suite_computes_no_spectrum(self, tmp_path, monkeypatch):
+        spec = WeightSpec(RAD, 1.0, 2)
+        grid = make_grid(spec, 8.0, 32, 2.0)
+        cold = KernelSuite(spec, grid, steps=16, cache_dir=tmp_path)
+        built = [cold.table(t) for t in (0.25, 0.5)]
+
+        def no_spectrum(mesh):
+            raise AssertionError("a warm suite computed the spectrum")
+
+        monkeypatch.setattr(kernel, "_spectrum", no_spectrum)
+        warm = KernelSuite(spec, grid, steps=16, cache_dir=tmp_path)
+        for tb in built:
+            assert np.array_equal(warm.table(tb.t).matrix, tb.matrix)
 
     def test_suite_builds_tables_on_its_own_mesh(self, monkeypatch):
         spec = WeightSpec(RAD, 1.0, 2)
@@ -312,13 +350,6 @@ class TestFactoredPropagation:
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
-    def test_kernel_table_bit_identical_to_banded_route(self):
-        spec = WeightSpec(RAD, 1.0, 2)
-        tb = build_kernel(spec, make_grid(spec, 8.0, 32, 2.0), 0.5, 16)
-        want = _banded_reference(tb.mesh, np.diag(1.0 / tb.masses), 0.5, 16)
-        assert np.array_equal(tb.matrix, np.clip(want, 0.0, None))
-        assert tb.matrix.flags.f_contiguous
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_values_rejected(self, bad):
         spec = WeightSpec(AX, 0.5, 1)
@@ -363,3 +394,75 @@ class TestFactoredPropagation:
         )
         with pytest.raises(LinAlgError):
             propagate(mesh, np.ones(3), 1.0, 1)
+
+
+def _dense_oracle(mesh, t, steps):
+    """M^{-1/2} (I + dt S)^{-steps} M^{-1/2}, S = M^{1/2} (-A) M^{-1/2} symmetrised.
+
+    Dense elimination in long double: on steeply graded meshes dt * max(lam)
+    reaches 1e14, and the same solves in float64 (np.linalg.solve) miss a
+    long-double reference by up to 3e-8 of the max.  S is positive
+    semidefinite, so I + dt S needs no pivoting.
+    """
+    ld = np.longdouble
+    upper, lower, masses = (np.asarray(x, dtype=ld) for x in (mesh.upper, mesh.lower, mesh.masses))
+    n = masses.size
+    root = np.sqrt(masses)
+    minus_a = np.diag(upper + lower) - np.diag(upper[:-1], 1) - np.diag(lower[1:], -1)
+    s = root[:, None] * minus_a / root[None, :]
+    lu = np.eye(n, dtype=ld) + ld(t) / steps * (s + s.T) / 2
+    for k in range(n - 1):
+        lu[k + 1 :, k] /= lu[k, k]
+        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+    x = np.eye(n, dtype=ld)
+    for _ in range(steps):
+        for k in range(1, n):
+            x[k] -= lu[k, :k] @ x[:k]
+        for k in range(n - 1, -1, -1):
+            x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
+    return (x / root[:, None] / root[None, :]).astype(float)
+
+
+class TestSpectralTables:
+    @given(
+        spec=_weights(),
+        radius=st.floats(1.0, 64.0),
+        cells=st.integers(16, 48),
+        grading=st.floats(1.0, 4.0),
+        t=st.floats(1e-4, 50.0),
+        steps=st.integers(1, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_oracle(self, spec, radius, cells, grading, t, steps):
+        # the spectral product itself, not a suite's table: near a -> 1 on
+        # steeply graded meshes the table's absolute positivity check sees
+        # roundoff of a max near 1e12, and the probe check sees the banded
+        # route's own error
+        mesh = solver_mesh(make_grid(spec, radius, cells, grading))
+        got = kernel._table_matrix(*kernel._spectrum(mesh), t, steps)
+        want = _dense_oracle(mesh, t, steps)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(want)
+
+    def test_agrees_with_banded_route_on_desk_meshes(self, tmp_path):
+        # the meshes of acceptance test c02 and of the kernel-verify benchmark
+        for spec in DESK_SPECS:
+            grid = make_grid(spec, 16.0, 256, 2.0)
+            built = KernelSuite(spec, grid, steps=256, cache_dir=tmp_path).table(0.25)
+            want = _banded_reference(built.mesh, np.diag(1.0 / built.masses), 0.25, 256)
+            assert np.max(np.abs(built.matrix - want)) <= 1e-10 * np.max(want), spec
+            loaded = KernelSuite(spec, grid, steps=256, cache_dir=tmp_path).table(0.25)
+            assert np.array_equal(loaded.matrix, built.matrix)
+            assert built.matrix.flags.f_contiguous and loaded.matrix.flags.f_contiguous
+
+    def test_perturbed_spectrum_fails_probe_check(self, monkeypatch):
+        spec = WeightSpec(AX, 0.5, 1)
+        grid = make_grid(spec, 8.0, 32, 2.0)
+        exact = kernel._spectrum
+
+        def perturbed(mesh):
+            lam, w = exact(mesh)
+            return lam * (1.0 + 1e-4), w
+
+        monkeypatch.setattr(kernel, "_spectrum", perturbed)
+        with pytest.raises(KernelInvariantError, match=r"t=0\.5 .* by \d"):
+            KernelSuite(spec, grid, steps=16).table(0.5)
