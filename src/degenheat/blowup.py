@@ -64,11 +64,6 @@ class CriticalParams:
     p_star: float
     r_star: float
 
-    @property
-    def global_theory_applies(self) -> bool:
-        """The small-data global route needs r* > 1 (equivalently p > p*)."""
-        return self.r_star > 1.0
-
 
 def critical_parameters(n: int, alpha: float, p: float) -> CriticalParams:
     """Threshold exponent p* = 1 + 2/(n+alpha) and route index r* = (n+alpha)(p-1)/2."""

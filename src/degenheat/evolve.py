@@ -146,11 +146,6 @@ class Trajectory:
         if self.escape_time is not None and not self.escape_time > 0.0:
             raise ValueError("escape time must be positive when present")
 
-    def valid_times(self) -> np.ndarray:
-        if self.converged_mask is None:
-            return self.times
-        return self.times[self.converged_mask]
-
 
 @dataclass(frozen=True)
 class PicardRun:

@@ -48,7 +48,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs, dstemr
 
 from .lorentz import INF, LorentzIndex, StepFunction, lorentz_norm
-from .weights import Grid, WeightCase, WeightSpec, ball_mass
+from .weights import Grid, WeightCase, WeightSpec, _ball_masses
 
 __all__ = [
     "SolverMesh",
@@ -331,7 +331,7 @@ def _fit_data(tb: KernelTable, kind: str) -> _FitData:
         mb_prod = mb[rows] * mb[cols]
     else:
         rt = math.sqrt(tb.t)
-        wb = np.array([ball_mass(tb.spec, abs(p), rt) for p in tb.points])
+        wb = _ball_masses(tb.spec, tb.points, rt)
         ball_prod = np.sqrt(wb[rows] * wb[cols])
     return _FitData(
         t=tb.t,

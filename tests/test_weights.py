@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +14,12 @@ from scipy import integrate
 from degenheat.weights import (
     WeightCase,
     WeightSpec,
+    _ball_masses,
     ball_mass,
     ball_mass_bounds,
     fit_ball_constants,
     make_grid,
+    unit_ball_volume,
     weight_at,
 )
 
@@ -115,6 +122,137 @@ class TestBallMass:
         radii = np.linspace(0.1, 4.0, 30)
         masses = [ball_mass(spec, 0.7, float(r)) for r in radii]
         assert np.all(np.diff(masses) > 0.0)
+
+
+def _mp_radial_mass(n: int, b: float, c: float, r: float):
+    """30-digit radial ball mass by tanh-sinh quadrature over the shell radius s.
+
+    The cap fraction of S^{n-1} is arccos(cos)/pi for n = 2 and (1 - cos)/2
+    for n = 3; the sphere is whole inside s < r - c.
+    """
+    with mp.workdps(30):
+        c, r, b = mp.mpf(c), mp.mpf(r), mp.mpf(b)
+        k = n - 1 + b
+        frac = {2: lambda cv: mp.acos(cv) / mp.pi, 3: lambda cv: (1 - cv) / 2}[n]
+
+        def shell(s):
+            cv = (s * s + c * c - r * r) / (2 * s * c)
+            return s**k * frac(max(-1, min(1, cv)))
+
+        inner = max(r - c, 0) ** (k + 1) / (k + 1)
+        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        return area * (inner + mp.quad(shell, [abs(c - r), c + r]))
+
+
+def _mp_axis_mass(n: int, a: float, c: float, r: float):
+    """30-digit axis ball mass: |y|^a against the (n-1)-ball slab, split at 0."""
+    with mp.workdps(30):
+        c, r, a = mp.mpf(c), mp.mpf(r), mp.mpf(a)
+        omega = mp.pi ** (mp.mpf(n - 1) / 2) / mp.gamma(mp.mpf(n - 1) / 2 + 1)
+
+        def slab(y):
+            return abs(y) ** a * omega * (r * r - (y - c) ** 2) ** (mp.mpf(n - 1) / 2)
+
+        pts = [c - r] + ([mp.mpf(0)] if c - r < 0 < c + r else []) + [c + r]
+        return mp.quad(slab, pts)
+
+
+ORACLE_RADIUS = 1.3
+NEAR_ONE = (1.0 - 1e-6, 1.0, 1.0 + 1e-6)
+
+
+def _spec_id(spec: WeightSpec) -> str:
+    return f"{spec.case.value}-{spec.exponent:g}-n{spec.dimension}"
+
+
+class TestBallMassGaussRules:
+    @pytest.mark.parametrize(
+        "n,b", [(n, b) for n in (2, 3) for b in (0.0, 0.5, 1.0, n - 0.001)]
+    )
+    def test_radial_matches_mpmath(self, n, b):
+        spec = WeightSpec(RAD, b, n)
+        for ratio in (1e-6, 0.3, *NEAR_ONE, 2.0, 10.0):
+            c = ratio * ORACLE_RADIUS
+            ref = _mp_radial_mass(n, b, c, ORACLE_RADIUS)
+            got = ball_mass(spec, c, ORACLE_RADIUS)
+            assert abs(got - ref) <= 1e-12 * ref, (ratio, got, ref)
+
+    @pytest.mark.parametrize(
+        "n,a", [(n, a) for n in (2, 3, 4) for a in (0.0, 1e-9, 0.5, 0.999)]
+    )
+    def test_axis_matches_mpmath(self, n, a):
+        spec = WeightSpec(AX, a, n)
+        for ratio in (0.0, 1e-6, 0.3, *NEAR_ONE, 2.0, 10.0):
+            c = ratio * ORACLE_RADIUS
+            ref = _mp_axis_mass(n, a, c, ORACLE_RADIUS)
+            got = ball_mass(spec, c, ORACLE_RADIUS)
+            assert abs(got - ref) <= 1e-12 * ref, (ratio, got, ref)
+
+    # n = 1 is the closed form, whose primitive difference loses eps * c / r
+    @given(
+        case=st.sampled_from([AX, RAD]),
+        n=st.integers(2, 4),
+        r=st.floats(1e-3, 1e3),
+        c_over_r=st.one_of(st.just(0.0), st.floats(1e-9, 1e6), st.floats(1.0 - 1e-6, 1.0 + 1e-6)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unweighted_is_ball_volume_for_any_center(self, case, n, r, c_over_r):
+        got = ball_mass(WeightSpec(case, 0.0, n), c_over_r * r, r)
+        assert got == pytest.approx(unit_ball_volume(n) * r**n, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [WeightSpec(AX, 0.5, 2), WeightSpec(AX, 0.999, 4), WeightSpec(RAD, 1.0, 2), WeightSpec(RAD, 2.5, 3)],
+        ids=_spec_id,
+    )
+    def test_center_to_zero_meets_closed_form(self, spec):
+        r = 0.7
+        at_zero = ball_mass(spec, 0.0, r)
+        for c in (5e-324, 1e-300, 1e-15, 1e-12, 1e-10):
+            assert ball_mass(spec, c, r) == pytest.approx(at_zero, rel=1e-12), c
+
+    @pytest.mark.parametrize(
+        "spec",
+        [WeightSpec(AX, 0.5, 1), WeightSpec(AX, 0.5, 3), WeightSpec(RAD, 0.5, 1), WeightSpec(RAD, 1.0, 2)],
+        ids=_spec_id,
+    )
+    def test_array_path_matches_scalar_wrapper_bit_for_bit(self, spec):
+        rng = np.random.default_rng(11)
+        centers = rng.uniform(0.0, 6.0, 300)
+        centers[:30] = 0.0
+        radii = rng.uniform(0.05, 4.0, 300)
+        batch = _ball_masses(spec, centers, radii)
+        single = [ball_mass(spec, float(c), float(r)) for c, r in zip(centers, radii)]
+        assert np.array_equal(batch, single)
+        # centers broadcast against radii
+        grid = _ball_masses(spec, centers[:5, None], radii[None, :7])
+        assert grid.shape == (5, 7)
+        assert grid[2, 3] == ball_mass(spec, float(centers[2]), float(radii[3]))
+
+    @pytest.mark.parametrize(
+        "center,r",
+        [
+            (1.0, math.inf),
+            (1.0, math.nan),
+            (math.inf, 1.0),
+            (-math.inf, 1.0),
+            (math.nan, 1.0),
+            ((0.3, math.inf), 1.0),
+            (1.0, 0.0),
+            (1.0, -1.0),
+        ],
+    )
+    @pytest.mark.parametrize("fn", [ball_mass, ball_mass_bounds], ids=lambda f: f.__name__)
+    def test_non_finite_or_nonpositive_input_rejected(self, fn, center, r):
+        with pytest.raises(ValueError, match="ball (center|radius)"):
+            fn(WeightSpec(RAD, 1.0, 2), center, r)
+
+    def test_importing_the_package_leaves_scipy_integrate_out(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, degenheat; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestBallMassBounds:
