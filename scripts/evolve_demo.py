@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Evolve one small datum and print its norm trajectory.
 
-Demonstrates the Picard route end to end on a laptop-scale grid:
+Demonstrates the Picard route (forward substitution over the master grid)
+end to end on a laptop-scale grid:
 
     python scripts/evolve_demo.py
 """
@@ -22,7 +23,10 @@ def run() -> None:
     cfg = EvolveConfig(p=3.0, horizon=256.0, record_q=(1.5, 3.0))
     run = picard_iterate(u0, cfg, suite)
     traj = run.trajectory
-    print(f"outcome: {traj.outcome.value} after {run.n_sweeps} sweeps")
+    print(
+        f"outcome: {traj.outcome.value} after {sum(run.iterations)} pointwise iterations "
+        f"over {len(run.iterations)} masters (at most {max(run.iterations)} at one)"
+    )
     print("      t      sup        L^1.5(w)    weak-1.5")
     ladder = np.isclose(np.log2(traj.times / 0.25) % 1.0, 0.0, atol=1e-9) & (traj.times >= 0.25)
     for i in np.flatnonzero(ladder):

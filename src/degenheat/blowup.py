@@ -150,9 +150,13 @@ def kaplan_bound_series(
         raise ValueError(f"need p > 1, got {p}")
     ts = np.array(sorted(float(t) for t in times))
     evolved = suite.propagate_ladder(suite.extend(u0.values), list(ts))
-    series = np.array([t ** (1.0 / (p - 1.0)) * float(np.max(evolved[t])) for t in ts])
-    cap = math.exp(kaplan_cstar_log_bound(p))
-    over = np.flatnonzero(series > cap)
+    # compared in logs: near p = 1 both the series and the cap overflow
+    log_cap = kaplan_cstar_log_bound(p)
+    with np.errstate(divide="ignore"):
+        log_series = np.log(ts) / (p - 1.0) + np.log([float(np.max(evolved[t])) for t in ts])
+    over = np.flatnonzero(log_series > log_cap)
+    with np.errstate(over="ignore"):
+        series, cap = np.exp(log_series), float(np.exp(log_cap))
     crossing = float(ts[over[0]]) if over.size else None
     table = {k: log_ak(p, k) for k in range(2, _KAPLAN_K_MAX + 1)}
     return KaplanReport(
@@ -256,8 +260,7 @@ def critical_log_growth(
     run = picard_iterate(u0, cfg, suite)
     grid = u0.grid
     times = run.trajectory.times
-    mask = run.trajectory.converged_mask
-    usable = (times > _LOG_GROWTH_MIN_TIME) & (mask if mask is not None else True)
+    usable = times > _LOG_GROWTH_MIN_TIME
     if int(np.sum(usable)) < 3:
         return LogGrowthFit(
             slope=math.nan,

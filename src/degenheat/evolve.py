@@ -1,22 +1,24 @@
 """Mild solutions of  d_t u = w^{-1} div(w grad u) + u^p  by Picard iteration.
 
-Each iterate satisfies the integral identity
+The mild solution is the fixed point of the Duhamel map
 
-    u_{n+1}(t) = S(t) u0 + integral_0^t S(t-s) u_n(s)^p ds,
+    u(t) = S(t) u0 + integral_0^t S(t-s) u(s)^p ds,
 
-evaluated with a product-trapezoid rule over a geometric master time grid
+discretized with a product-trapezoid rule over a geometric master time grid
 (fine near s = 0, log-uniform up to the horizon).  A Horner-style march
-composes the semigroup increments exactly, so one sweep over the master
-grid yields the new iterate at every master time:
+composes the semigroup increments exactly:
 
     z(tau_m) = S(d_m)[z(tau_{m-1}) + (d_m/2) g_{m-1}] + (d_m/2) g_m,
 
-with g_k = u_n(tau_k)^p and d_m the m-th time increment.  Iterates are
-monotone nondecreasing by construction (positive kernel, monotone
-nonlinearity); the monotonicity is still asserted on every sweep.
+with u = S(t) u0 + z, g_k = u(tau_k)^p and d_m the m-th time increment.
+The march is causal and its only implicit term, (d_m/2) g_m, is pointwise,
+so the system is lower-triangular: one forward pass solves it, master by
+master, with a pointwise Picard iteration for the implicit term.  Those
+iterates rise monotonically to the fixed point (positive kernel, monotone
+nonlinearity); the monotonicity is still asserted on every iterate.
 
-Numerical blow-up is an observable proxy: a sweep whose values exceed the
-configured threshold marks the first offending time and stops the run.
+Numerical blow-up is an observable proxy: the first master whose iterate
+exceeds the configured threshold is the escape time and ends the run.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def master_times(cfg: EvolveConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time series of a mild solution: norms per recorded time plus outcome."""
+    """Time series of a mild solution: norms per solved time plus outcome."""
 
     times: np.ndarray
     sup: np.ndarray
@@ -135,7 +137,6 @@ class Trajectory:
     weak: dict[float, np.ndarray]
     outcome: Outcome
     escape_time: float | None = None
-    converged_mask: np.ndarray | None = None
     snapshots: dict[float, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -149,43 +150,35 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class PicardRun:
+    """The masters solved before the run stopped, with their fields.
+
+    ``iterations`` counts the pointwise iterations at each master after
+    t = 0 that the run reached, the master it stopped at included.
+    ``n_sweeps`` (one causal pass) and ``sup_diffs`` (empty) are kept for
+    the benchmark harness under ``perfbench/``, which reads them.
+    """
+
     masters: np.ndarray
-    fields: np.ndarray = field(repr=False)  # (n_masters, mesh size), final iterate
-    linear: np.ndarray = field(repr=False)  # S(t) u0 at the masters
+    fields: np.ndarray = field(repr=False)  # (solved masters, mesh size)
+    linear: np.ndarray = field(repr=False)  # S(t) u0 at the solved masters
     trajectory: Trajectory
-    sup_diffs: tuple[float, ...]
-    min_increments: tuple[float, ...]
-    n_sweeps: int
+    iterations: tuple[int, ...]
     outcome: Outcome
     escape_time: float | None
-    converged_mask: np.ndarray
-
-
-def _sweep(
-    suite: KernelSuite,
-    masters: np.ndarray,
-    u0_full: np.ndarray,
-    linear: np.ndarray,
-    prev: np.ndarray,
-    p: float,
-    substeps: int,
-    cap: float,
-) -> np.ndarray:
-    """One Duhamel sweep: new iterate at every master time."""
-    g = np.minimum(prev, cap) ** p
-    out = np.empty_like(prev)
-    out[0] = u0_full
-    acc = np.zeros_like(u0_full)
-    for m in range(1, masters.size):
-        dm = masters[m] - masters[m - 1]
-        acc = suite.propagate(acc + 0.5 * dm * g[m - 1], dm, substeps)
-        acc += 0.5 * dm * g[m]
-        out[m] = linear[m] + acc
-    return out
+    n_sweeps: int = 1
+    sup_diffs: tuple[float, ...] = ()
 
 
 def picard_iterate(u0: GridFunction, cfg: EvolveConfig, suite: KernelSuite) -> PicardRun:
-    """Run the monotone Picard iteration for the mild solution on [0, horizon]."""
+    """Solve the discrete Duhamel system on [0, horizon] by forward substitution.
+
+    Master by master: one two-column propagate gives the linear part L and
+    b = S(d_m)[z_{m-1} + (d_m/2) g_{m-1}], then the pointwise iteration
+    z <- b + (d_m/2) min(L + z, cap)^p, started from z = b, rises to the
+    fixed point; it converges when a step is below ``picard_tol``.  The run
+    stops at the first iterate over the threshold (that master is the escape
+    time) or when an iteration takes ``max_picard`` steps.
+    """
     if np.any(u0.values < 0.0):
         raise ValueError("initial data must be nonnegative")
     masters = master_times(cfg)
@@ -194,68 +187,54 @@ def picard_iterate(u0: GridFunction, cfg: EvolveConfig, suite: KernelSuite) -> P
     threshold = cfg.blowup_threshold if cfg.blowup_threshold is not None else 1e6 * max(sup0, 1e-12)
     cap = 10.0 * threshold
 
-    # iterate 1 is the linear evolution; computed once, reused every sweep
-    linear = np.empty((masters.size, u0_full.size))
-    linear[0] = u0_full
-    for m in range(1, masters.size):
-        linear[m] = suite.propagate(linear[m - 1], masters[m] - masters[m - 1], cfg.substeps)
-
-    prev = linear.copy()
-    per_time_inc = np.zeros(masters.size)
-    sup_diffs: list[float] = []
-    min_incs: list[float] = []
-    outcome = Outcome.ITERATION_BUDGET_EXHAUSTED
+    fields = np.empty((masters.size, u0_full.size))
+    linear = np.empty_like(fields)
+    fields[0] = linear[0] = u0_full
+    z = np.zeros_like(u0_full)
+    g = np.minimum(u0_full, cap) ** cfg.p
+    iterations: list[int] = []
+    outcome = Outcome.CONVERGED
     escape_time: float | None = None
-    blown_from = masters.size  # first master index over threshold
-    n_sweeps = 0
-    for _ in range(cfg.max_picard):
-        n_sweeps += 1
-        new = _sweep(suite, masters, u0_full, linear, prev, cfg.p, cfg.substeps, cap)
-        over = np.flatnonzero(np.max(new, axis=1) > threshold)
-        if over.size:
-            blown_from = min(blown_from, int(over[0]))
-            if escape_time is None:
-                escape_time = float(masters[over[0]])
-        inc = new - prev
-        per_time_inc = np.max(np.abs(inc), axis=1)
-        active = per_time_inc[:blown_from]
-        sup_diff = float(np.max(active)) if active.size else 0.0
-        min_inc = float(np.min(inc[:blown_from])) if blown_from else 0.0
-        sup_diffs.append(sup_diff)
-        min_incs.append(min_inc)
-        if min_inc < -cfg.picard_tol:
-            raise PicardInvariantError(
-                f"Picard iterates lost monotonicity: min increment {min_inc:g}"
-            )
-        prev = new
-        if sup_diff < cfg.picard_tol:
-            # past an escape we still iterate the pre-escape window to
-            # convergence so its records stay usable
-            outcome = Outcome.CONVERGED if escape_time is None else Outcome.THRESHOLD_EXCEEDED
+    solved = masters.size
+    for m in range(1, masters.size):
+        dm = masters[m] - masters[m - 1]
+        half = 0.5 * dm
+        lin, b = suite.propagate(np.column_stack((linear[m - 1], z + half * g)), dm, cfg.substeps).T
+        z = b
+        for k in range(1, cfg.max_picard + 1):
+            new = b + half * np.minimum(lin + z, cap) ** cfg.p
+            step = new - z
+            if np.min(step) < -cfg.picard_tol:
+                raise PicardInvariantError(
+                    f"Picard iterates lost monotonicity at t = {masters[m]:g}: step {np.min(step):g}"
+                )
+            z = new
+            if np.max(lin + z) > threshold:
+                outcome = Outcome.THRESHOLD_EXCEEDED
+                escape_time = float(masters[m])
+                break
+            if np.max(step) < cfg.picard_tol:
+                break
+        else:
+            outcome = Outcome.ITERATION_BUDGET_EXHAUSTED
+        iterations.append(k)
+        if outcome is not Outcome.CONVERGED:
+            solved = m
             break
-    else:
-        if escape_time is not None:
-            outcome = Outcome.THRESHOLD_EXCEEDED
+        linear[m] = lin
+        fields[m] = lin + z
+        g = np.minimum(fields[m], cap) ** cfg.p
 
-    if outcome is Outcome.CONVERGED:
-        converged_mask = np.ones(masters.size, dtype=bool)
-    else:
-        # time-local convergence: the last sweep's increment is already small
-        converged_mask = per_time_inc < 10.0 * cfg.picard_tol
-        converged_mask[blown_from:] = False
-
-    trajectory = _build_trajectory(u0.grid, suite, masters, prev, cfg, outcome, escape_time, converged_mask)
+    masters, fields, linear = masters[:solved], fields[:solved], linear[:solved]
+    trajectory = _build_trajectory(u0.grid, suite, masters, fields, cfg, outcome, escape_time)
     return PicardRun(
         masters=masters,
-        fields=prev,
+        fields=fields,
         linear=linear,
         trajectory=trajectory,
-        sup_diffs=tuple(sup_diffs),
-        min_increments=tuple(min_incs),
-        n_sweeps=n_sweeps,
+        iterations=tuple(iterations),
         outcome=outcome,
         escape_time=escape_time,
-        converged_mask=converged_mask,
     )
 
 
@@ -267,7 +246,6 @@ def _build_trajectory(
     cfg: EvolveConfig,
     outcome: Outcome,
     escape_time: float | None,
-    converged_mask: np.ndarray,
 ) -> Trajectory:
     rec = masters > 0.0
     times = masters[rec]
@@ -294,7 +272,6 @@ def _build_trajectory(
         weak=weak,
         outcome=outcome,
         escape_time=escape_time,
-        converged_mask=converged_mask[rec],
         snapshots=snapshots,
     )
 
@@ -490,7 +467,6 @@ def solve_global_small(
 
     functionals: dict[tuple[float, str], np.ndarray] = {}
     slopes: dict[tuple[float, str], float] = {}
-    ok_mask = traj.converged_mask if traj.converged_mask is not None else np.ones(times.size, bool)
     for q in qs:
         expo = 0.5 * na * (1.0 / base - (0.0 if q == INF else 1.0 / q))
         if q == INF:
@@ -500,15 +476,15 @@ def solve_global_small(
             vals = (1.0 + times) ** expo * series[(q, kind)]
             key = (q, kind)
         functionals[key] = vals
-        if np.all(vals[ok_mask] == 0.0):  # trivial data: identically zero is flat
+        if np.all(vals == 0.0):  # trivial data: identically zero is flat
             slopes[key] = 0.0
         else:
-            slopes[key] = last_quarter_slope(times[ok_mask], vals[ok_mask])
+            slopes[key] = last_quarter_slope(times, vals)
 
     accepted = run.outcome is Outcome.CONVERGED and all(
         np.isfinite(s) and abs(s) <= _FUNCTIONAL_SLOPE_TOL for s in slopes.values()
     )
-    decay = last_quarter_slope(1.0 + times[ok_mask], sup[ok_mask])
+    decay = last_quarter_slope(1.0 + times, sup)
     return GlobalRun(
         run=run,
         times=times,
@@ -578,7 +554,8 @@ def stability_check(
     run_cfg = replace(cfg, p=p, horizon=sigma, record_q=())
     r1 = picard_iterate(u01, run_cfg, suite)
     r2 = picard_iterate(u02, run_cfg, suite)
-    diff = np.max(np.abs(r1.fields - r2.fields), axis=1)
+    k = min(r1.masters.size, r2.masters.size)  # the common solved prefix
+    diff = np.max(np.abs(r1.fields[:k] - r2.fields[:k]), axis=1)
     return float(np.max(diff)) / gap0
 
 

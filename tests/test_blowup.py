@@ -115,6 +115,15 @@ class TestKaplanSeries:
         assert not rep.below_cap
         assert rep.crossing_time is not None and rep.crossing_time <= 16.0
 
+    @pytest.mark.parametrize("p", [1.01, 1.0 + 1e-6])
+    def test_exponent_near_one_does_not_overflow(self, suite, p):
+        # the cap exp(~1e4) and t^(1/(p-1)) both overflow a float here; the
+        # series is compared with the cap in logs, so nothing is raised and
+        # no overflow passes for a crossing
+        u0 = suite.grid.function(bump(0.0, 1.0, 0.75))
+        rep = kaplan_bound_series(u0, p, [0.25 * 2.0**k for k in range(11)], suite)
+        assert rep.below_cap and rep.crossing_time is None
+
 
 class TestSubcriticalEscape:
     def test_exponent_margin_sign(self, suite):

@@ -211,6 +211,15 @@ class TestCliCommands:
         body = (out / "classify.csv").read_text()
         assert "blowup" in body
 
+    def test_classify_exponent_near_one(self, tmp_path):
+        cfgp = write_cfg(
+            tmp_path,
+            {"grid.radius": "16", "grid.cells": "64", "evolve.p": "1.01", "evolve.horizon": "16"},
+        )
+        out = tmp_path / "out"
+        assert main(["classify", "--config", str(cfgp), "--out", str(out)]) == 0
+        assert (out / "classify.csv").read_text().startswith("p,alpha,outcome")
+
     def test_sweep_outputs_and_determinism(self, tmp_path):
         cfgp = write_cfg(
             tmp_path,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from degenheat.kernel import KernelSuite
 from degenheat.profiles import bump, corollary_profile
 from degenheat.semigroup import fit_smoothing_constants
 from degenheat.weights import WeightCase, WeightSpec, make_grid
+from picard_oracle import global_picard
 
 AX = WeightCase.AXIS_POWER
 
@@ -96,9 +98,15 @@ class TestPicard:
         cfg = EvolveConfig(p=2.0, horizon=1.0)
         run = picard_iterate(u0, cfg, suite)
         assert run.outcome is Outcome.CONVERGED
-        assert all(m >= -cfg.picard_tol for m in run.min_increments)
-        diffs = [d for d in run.sup_diffs if d > 0.0]
-        assert all(b <= 0.5 * a for a, b in zip(diffs, diffs[1:]))
+        assert np.min(run.fields - run.linear) >= -cfg.picard_tol
+        assert len(run.iterations) == run.masters.size - 1
+        # local contraction constant of the pointwise iteration, (d_m/2) p u^(p-1)
+        half = 0.5 * np.diff(run.masters)
+        contraction = half * cfg.p * np.max(run.fields[1:], axis=1) ** (cfg.p - 1.0)
+        assert np.max(contraction) <= 0.5
+        sweeps = global_picard(u0, cfg, suite)
+        assert sweeps.converged and min(sweeps.min_increments) >= -cfg.picard_tol
+        assert np.max(np.abs(run.fields - sweeps.fields)) < 1e-7
 
     def test_duhamel_lower_bound(self, suite):
         u0 = suite.grid.function(bump(0.0, 0.8, 0.05))
@@ -119,6 +127,13 @@ class TestPicard:
         assert run.outcome is Outcome.THRESHOLD_EXCEEDED
         assert run.escape_time is not None and run.escape_time > 0.0
         assert run.trajectory.escape_time == run.escape_time
+        # the run holds the masters solved before the escape master, no more
+        m = run.masters.size
+        assert run.escape_time == master_times(cfg)[m]
+        assert len(run.iterations) == m
+        assert run.fields.shape == (m, suite.mesh.size)
+        assert np.all(run.trajectory.times < run.escape_time)
+        assert np.max(run.fields) <= cfg.blowup_threshold
 
     def test_trajectory_records(self, suite):
         u0 = suite.grid.function(bump(0.0, 0.8, 0.05))
@@ -140,6 +155,9 @@ class TestPicard:
         assert run.outcome is Outcome.ITERATION_BUDGET_EXHAUSTED
         assert run.n_sweeps == 1
         assert run.escape_time is None
+        # stopped at the first master: only t = 0 is solved
+        assert run.iterations == (1,)
+        assert run.masters.tolist() == [0.0] and run.trajectory.times.size == 0
 
 
 class TestOracle:
@@ -162,6 +180,24 @@ class TestOracle:
                 assert abs(run.masters[i] - t) < 1e-9
                 gap = np.max(np.abs(suite.restrict(run.fields[i]) - oracle[t]))
                 assert gap < 2e-3
+
+    @pytest.mark.parametrize(
+        "height,p,threshold,escape",
+        [(2.0, 3.0, 100.0, 3.36), (0.75, 1.8, None, 19.03)],
+    )
+    def test_escape_matches_global_sweeps(self, suite, height, p, threshold, escape):
+        # the escape is the first master where the converged sweep iterate
+        # crosses the threshold; fields agree on every solved master
+        # (3.4e-5 measured at p = 3, 6.0e-6 at p = 1.8, largest just before escape)
+        u0 = suite.grid.function(bump(0.0, 1.0, height))
+        cfg = EvolveConfig(p=p, horizon=64.0, blowup_threshold=threshold)
+        run = picard_iterate(u0, cfg, suite)
+        sweeps = global_picard(u0, replace(cfg, max_picard=200), suite)
+        assert sweeps.converged
+        assert run.outcome is Outcome.THRESHOLD_EXCEEDED
+        assert run.escape_time == sweeps.escape_time == pytest.approx(escape, abs=0.005)
+        gap = np.max(np.abs(run.fields - sweeps.fields[: run.masters.size]))
+        assert gap < 1e-4
 
 
 class TestSolveLocal:
