@@ -33,7 +33,8 @@ def run() -> None:
             f"covering {rep.sandwich.lower_coverage:.1%}/{rep.sandwich.upper_coverage:.1%}"
         )
         print(
-            f"  min-branch constants: [{rep.minbranch.lower:.3f}, {rep.minbranch.upper:.3f}]"
+            f"  min-branch constants: [{rep.minbranch.lower:.3f}, {rep.minbranch.upper:.3f}] "
+            f"covering {rep.minbranch.lower_coverage:.1%}/{rep.minbranch.upper_coverage:.1%}"
         )
         for s in rep.norm_slopes:
             print(

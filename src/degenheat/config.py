@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .evolve import EvolveConfig
+from .kernel import _verification_times
 from .weights import WeightCase, WeightSpec, make_grid
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "load_config"]
@@ -195,6 +196,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     cfg.kernel_cache_dir = get("kernel.cache_dir") or None
     if any(t <= 0.0 for t in cfg.kernel_times):
         raise ConfigError("kernel times must be positive", lines.get("kernel.times"), "kernel.times")
+    try:
+        _verification_times(cfg.kernel_times)
+    except ValueError as exc:
+        raise ConfigError(str(exc), lines.get("kernel.times"), "kernel.times") from exc
     if cfg.kernel_steps < 1:
         raise ConfigError("kernel steps must be positive", lines.get("kernel.steps"), "kernel.steps")
 

@@ -29,6 +29,9 @@ table after ``steps`` steps of size dt is
 
 A ``KernelSuite`` computes W once, on its first table build, and checks
 every table it builds against ``propagate`` on a probe vector.
+
+The fitted envelope constants are order statistics of per-entry thresholds,
+each the solution of a Lambert-W equation (``fit_envelope_constants``).
 """
 
 from __future__ import annotations
@@ -282,7 +285,10 @@ class EnvelopeFit:
     entries: int
 
 
-def _comparison_entries(table: KernelTable, dist_cut: float = 4.0):
+_DIST_CUT = 4.0  # Gaussian-core entries: |x - y| <= _DIST_CUT sqrt(t)
+
+
+def _comparison_entries(table: KernelTable):
     """Indices and distances of the Gaussian-core entries used by the fits.
 
     For radial tables the entries are angular averages, so the upper envelope
@@ -294,99 +300,65 @@ def _comparison_entries(table: KernelTable, dist_cut: float = 4.0):
     pts = table.points
     inter = np.flatnonzero(table.interior_mask())
     xi = pts[inter]
-    diff = np.abs(xi[:, None] - xi[None, :])
-    core = diff <= dist_cut * math.sqrt(table.t)
+    core = np.abs(xi[:, None] - xi[None, :]) <= _DIST_CUT * math.sqrt(table.t)
     ii, jj = np.nonzero(core)
     rows = inter[ii]
     cols = inter[jj]
+    d_up = np.abs(pts[rows] - pts[cols])
     if table.spec.case is WeightCase.AXIS_POWER:
-        d_up = np.abs(pts[rows] - pts[cols])
-        d_low = d_up
-    else:
-        d_up = np.abs(pts[rows] - pts[cols])
-        d_low = np.abs(pts[rows]) + np.abs(pts[cols])
-    return rows, cols, d_up, d_low
+        return rows, cols, d_up, d_up
+    return rows, cols, d_up, np.abs(pts[rows]) + np.abs(pts[cols])
 
 
-@dataclass(frozen=True)
-class _FitData:
-    """Precomputed per-table arrays shared by every bisection step."""
-
-    t: float
-    vals: np.ndarray
-    d_up2: np.ndarray
-    d_low2: np.ndarray
-    flat_exponent: float  # t^{-(n+alpha)/2}
-    mb_prod: np.ndarray | None  # min-branch prefactor product per entry ("minbranch")
-    ball_prod: np.ndarray | None  # sqrt(w(B(x)) w(B(y))) per entry ("sandwich")
+# Newton steps for W(z) in _thresholds.  From log1p(z) >= W(z) the iterates
+# reach W(z) to about an ulp within 8 steps for every z in [1e-300, 1e300]
+_LAMBERT_STEPS = 8
 
 
-def _fit_data(tb: KernelTable, kind: str) -> _FitData:
-    """Fit arrays for one table, with only the prefactor ``kind`` reads."""
+def _thresholds(vals: np.ndarray, pref: np.ndarray | float, k: np.ndarray) -> np.ndarray:
+    """The constant c at which the envelope c pref exp(-k/c) meets each entry.
+
+    The envelope increases with c: an upper envelope with constant C covers
+    the entry exactly when C >= c, a lower one exactly when C <= c.  With
+    x = k/c, x e^x = z = k pref / val, so x = W(z) (Lambert W), by Newton's
+    method on x + log x = log z.  k = 0 gives c = val/pref; a zero entry or a
+    non-finite z gives c = 0 (covered by every upper envelope, by no lower).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = k * pref
+        z /= vals
+        x = np.log1p(z)
+        step = np.empty_like(z)
+        for _ in range(_LAMBERT_STEPS):
+            # x <- x (1 + log(z/x)) / (1 + x), in place
+            np.divide(z, x, out=step)
+            np.log(step, out=step)
+            step += 1.0
+            step *= x
+            x += 1.0
+            np.divide(step, x, out=x)
+        c = np.divide(k, x, out=x)
+        np.divide(vals, pref, out=c, where=~(z > 0.0))
+    c[~((vals > 0.0) & np.isfinite(z))] = 0.0
+    return c
+
+
+def _table_thresholds(tb: KernelTable, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Upper and lower thresholds of one table's Gaussian-core entries: the
+    prefactors are t^{-(n+alpha)/2} (upper) and the min-branch product (lower)
+    for "minbranch", 1/sqrt(w(B(x)) w(B(y))), B of radius sqrt(t), for both
+    sides of "sandwich"."""
     rows, cols, d_up, d_low = _comparison_entries(tb)
-    n, a = tb.spec.dimension, tb.spec.alpha
-    mb_prod = ball_prod = None
+    vals = tb.matrix[rows, cols]
     if kind == "minbranch":
         mb = np.array([_min_branch(tb.spec, abs(p), tb.t) for p in tb.points])
-        mb_prod = mb[rows] * mb[cols]
+        pref_up = tb.t ** (-(tb.spec.dimension + tb.spec.alpha) / 2.0)
+        pref_low = mb[rows] * mb[cols]
     else:
-        rt = math.sqrt(tb.t)
-        wb = _ball_masses(tb.spec, tb.points, rt)
-        ball_prod = np.sqrt(wb[rows] * wb[cols])
-    return _FitData(
-        t=tb.t,
-        vals=tb.matrix[rows, cols],
-        d_up2=d_up**2,
-        d_low2=d_low**2,
-        flat_exponent=tb.t ** (-(n + a) / 2.0),
-        mb_prod=mb_prod,
-        ball_prod=ball_prod,
-    )
-
-
-def _coverage_upper(data: list[_FitData], const: float, kind: str) -> float:
-    tot = 0
-    ok = 0
-    for d in data:
-        pref = const * d.flat_exponent if kind == "minbranch" else const / d.ball_prod
-        env = pref * np.exp(-d.d_up2 / (const * d.t))
-        tot += d.vals.size
-        ok += int(np.sum(d.vals <= env))
-    return ok / tot
-
-
-def _coverage_lower(data: list[_FitData], const: float, kind: str) -> float:
-    tot = 0
-    ok = 0
-    for d in data:
-        pref = const * d.mb_prod if kind == "minbranch" else const / d.ball_prod
-        env = pref * np.exp(-d.d_low2 / (const * d.t))
-        tot += d.vals.size
-        ok += int(np.sum(env <= d.vals))
-    return ok / tot
-
-
-def _bisect_constant(cov, target: float, lo: float, hi: float, increase_helps: bool, iters: int = 48):
-    """Smallest (or largest) constant reaching the target coverage."""
-    f_lo, f_hi = cov(lo), cov(hi)
-    if increase_helps:
-        if f_hi < target:
-            return None, f_hi
-        if f_lo >= target:
-            return lo, f_lo
-    else:
-        if f_lo < target:
-            return None, f_lo
-        if f_hi >= target:
-            return hi, f_hi
-    for _ in range(iters):
-        mid = math.sqrt(lo * hi)
-        if (cov(mid) >= target) == increase_helps:
-            hi = mid
-        else:
-            lo = mid
-    pick = hi if increase_helps else lo
-    return pick, cov(pick)
+        wb = _ball_masses(tb.spec, tb.points, math.sqrt(tb.t))
+        pref_up = pref_low = 1.0 / np.sqrt(wb[rows] * wb[cols])
+    del rows, cols
+    return _thresholds(vals, pref_up, d_up**2 / tb.t), _thresholds(vals, pref_low, d_low**2 / tb.t)
 
 
 def fit_envelope_constants(
@@ -397,27 +369,33 @@ def fit_envelope_constants(
     """Fit the tightest envelope constants bracketing >= coverage of entries.
 
     kind = "minbranch" fits the explicit min-branch envelope; kind =
-    "sandwich" fits the ball-mass-prefactor sandwich.
+    "sandwich" fits the ball-mass-prefactor sandwich.  Each constant is an
+    order statistic of the per-entry thresholds (``_thresholds``): with N
+    entries and need = ceil(coverage N), the upper constant is the need-th
+    smallest upper threshold and the lower one the need-th largest lower
+    threshold.  A coverage is the share of thresholds on the covered side.
     """
-    data = [_fit_data(tb, kind) for tb in tables]
-    up, up_cov = _bisect_constant(
-        lambda c: _coverage_upper(data, c, kind), coverage_target, 1e-3, 1e6, True
-    )
-    low, low_cov = _bisect_constant(
-        lambda c: _coverage_lower(data, c, kind), coverage_target, 1e-12, 1e3, False
-    )
-    if up is None or low is None:
+    ups, lows = map(list, zip(*(_table_thresholds(tb, kind) for tb in tables)))
+    entries = sum(up.size for up in ups)
+    need = math.ceil(coverage_target * entries)
+    # one side at a time, so that only one concatenation is alive
+    c = np.concatenate(ups)
+    del ups
+    c.partition(need - 1)
+    upper = float(c[need - 1])
+    up_cov = float(np.mean(c <= upper if math.isfinite(upper) else np.isfinite(c)))
+    del c
+    c = np.concatenate(lows)
+    del lows
+    c.partition(entries - need)
+    lower = float(c[entries - need])
+    low_cov = float(np.mean(c >= lower if lower > 0.0 else c > 0.0))
+    if not (math.isfinite(upper) and lower > 0.0):
         raise EnvelopeFitError(
             f"no {kind} constants bracket {coverage_target:.0%} of kernel entries "
             f"(upper coverage {up_cov:.4f}, lower coverage {low_cov:.4f})"
         )
-    return EnvelopeFit(
-        lower=low,
-        upper=up,
-        lower_coverage=low_cov,
-        upper_coverage=up_cov,
-        entries=sum(d.vals.size for d in data),
-    )
+    return EnvelopeFit(lower, upper, low_cov, up_cov, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +451,19 @@ def composition_error(t_table: KernelTable, half_table: KernelTable) -> float:
 
 # strong-norm exponents of the row-decay regressions
 _SLOPE_RS = (2.0, INF)
+# share of Gaussian-core entries each fitted envelope must cover
+_COVERAGE_TARGET = 0.99
+
+
+def _verification_times(times) -> list[float]:
+    """The times sorted; a ValueError unless 4 or more, geometrically spaced."""
+    times = sorted(float(t) for t in times)
+    if len(times) < 4:
+        raise ValueError(f"kernel verification needs at least 4 times, got {len(times)}")
+    ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]
+    if max(ratios) - min(ratios) > 1e-9 * max(ratios):
+        raise ValueError("kernel verification times must be geometrically spaced")
+    return times
 
 
 def verify_kernel(
@@ -480,7 +471,6 @@ def verify_kernel(
     grid: Grid,
     times: list[float],
     steps: int = 256,
-    coverage_target: float = 0.99,
     suite: "KernelSuite | None" = None,
 ) -> KernelVerification:
     """Build tables at the given geometric times and verify the kernel laws.
@@ -490,13 +480,7 @@ def verify_kernel(
     min-branch form), and log-log decay slopes of strong and (r,1) norms of
     kernel rows seeded at the singular point.
     """
-    times = sorted(float(t) for t in times)
-    if len(times) < 4:
-        raise ValueError("kernel verification needs at least 4 times")
-    ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]
-    if max(ratios) - min(ratios) > 1e-9 * max(ratios):
-        raise ValueError("kernel verification times must be geometrically spaced")
-
+    times = _verification_times(times)
     suite = suite if suite is not None else KernelSuite(spec, grid, steps=steps)
     failures: list[str] = []
     k1: dict[float, float] = {}
@@ -508,16 +492,13 @@ def verify_kernel(
         k1[t] = tb.k1_max_error(interior_only=True)
         k2[t] = composition_error(tb, suite.table(t / 2.0))
 
-    try:
-        sandwich = fit_envelope_constants(tables, coverage_target, kind="sandwich")
-    except EnvelopeFitError as exc:
-        failures.append(str(exc))
-        sandwich = EnvelopeFit(math.nan, math.nan, 0.0, 0.0, 0)
-    try:
-        minbranch = fit_envelope_constants(tables, coverage_target, kind="minbranch")
-    except EnvelopeFitError as exc:
-        failures.append(str(exc))
-        minbranch = EnvelopeFit(math.nan, math.nan, 0.0, 0.0, 0)
+    fits: dict[str, EnvelopeFit] = {}
+    for kind in ("sandwich", "minbranch"):
+        try:
+            fits[kind] = fit_envelope_constants(tables, _COVERAGE_TARGET, kind=kind)
+        except EnvelopeFitError as exc:
+            failures.append(str(exc))
+            fits[kind] = EnvelopeFit(math.nan, math.nan, 0.0, 0.0, 0)
 
     n, a = spec.dimension, spec.alpha
     center = tables[0].size // 2 if spec.case is WeightCase.AXIS_POWER else 0
@@ -538,8 +519,8 @@ def verify_kernel(
         times=tuple(times),
         k1_errors=k1,
         k2_errors=k2,
-        sandwich=sandwich,
-        minbranch=minbranch,
+        sandwich=fits["sandwich"],
+        minbranch=fits["minbranch"],
         norm_slopes=tuple(slopes),
         failures=tuple(failures),
     )

@@ -172,14 +172,25 @@ def _check_radii(r: np.ndarray | float) -> None:
         raise ValueError(f"ball radius must be positive and finite, got {r[bad][0]}")
 
 
-def _signed_interval_mass(expo: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Integral of |y|^expo over [lo, hi] via the odd primitive."""
+def _signed_interval_mass(expo: float, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Integral of |y|^expo over [c - r, c + r] (1-D arrays, c >= 0, r > 0).
+
+    Where r < c/2 it is (c - r)^q expm1(2q atanh(r/c)) / q with q = expo + 1,
+    which does not cancel as r/c -> 0; elsewhere the difference of the odd
+    primitive.  Powers |y|^q are taken as |y|^expo |y|, so the rounding of q
+    costs no eps |log y|, and (c - r)^q never overflows ahead of the expm1.
+    """
     q = expo + 1.0
 
     def prim(y: np.ndarray) -> np.ndarray:
-        return np.copysign(np.abs(y) ** q / q, y)
+        return np.copysign(np.abs(y) ** expo * np.abs(y) / q, y)
 
-    return prim(hi) - prim(lo)
+    near = r < 0.5 * c
+    out = np.empty(c.shape)
+    gap, ratio = c[near] - r[near], r[near] / c[near]
+    out[near] = gap**expo * (gap * np.expm1(2.0 * q * np.arctanh(ratio))) / q
+    out[~near] = prim(c[~near] + r[~near]) - prim(c[~near] - r[~near])
+    return out
 
 
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -287,13 +298,13 @@ def _ball_masses(spec: WeightSpec, centers: np.ndarray | float, radii: np.ndarra
 
     if spec.case is WeightCase.AXIS_POWER:
         if n == 1:
-            return _signed_interval_mass(a, c - r, c + r).reshape(shape)
+            return _signed_interval_mass(a, c, r).reshape(shape)
         out = unit_ball_volume(n - 1) * special.beta((a + 1.0) / 2.0, (n + 1.0) / 2.0) * r ** (n + a)
         rule = _axis_rule
     else:
         out = unit_sphere_area(n) / (n + a) * r ** (n + a)
         if n == 1:
-            return np.where(at0, out, _signed_interval_mass(a, c - r, c + r)).reshape(shape)
+            return np.where(at0, out, _signed_interval_mass(a, c, r)).reshape(shape)
         rule = _radial_rule
     off = ~at0
     if np.any(off):

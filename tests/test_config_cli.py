@@ -62,6 +62,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"line 2, field {field}"):
             parse_config_text(f"weight.case = axis\n{line}\n")
 
+    @pytest.mark.parametrize(
+        "times, reason",
+        [("1,2,3", "at least 4 times, got 3"), ("1,2,3,4", "geometrically spaced")],
+    )
+    def test_bad_kernel_times_cite_line_and_field(self, times, reason):
+        with pytest.raises(ConfigError, match=f"line 2, field kernel.times: .*{reason}"):
+            parse_config_text(f"weight.case = axis\nkernel.times = {times}\n")
+
     def test_manifest_lines_cover_all_keys(self):
         cfg = parse_config_text("weight.case = axis\nweight.exponent = 0.5\n")
         keys = {line.split(" = ")[0] for line in cfg.manifest_lines()}
@@ -130,6 +138,13 @@ class TestCliCommands:
         rc = main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "field sweep.alpha" in capsys.readouterr().err
+
+    def test_bad_kernel_times_exit_two(self, tmp_path, capsys):
+        cfgp = write_cfg(tmp_path, {"kernel.times": "1,2,3"})
+        rc = main(["kernel-verify", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "field kernel.times" in err and "Traceback" not in err
 
     def test_missing_config_exits_two(self, tmp_path):
         rc = main(["lorentz-selftest", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
-from scipy.special import i0e
+from scipy.special import i0e, lambertw
 
 from degenheat import kernel
 from degenheat.kernel import (
@@ -24,6 +24,7 @@ from degenheat.kernel import (
     verify_kernel,
 )
 from degenheat.weights import WeightCase, WeightSpec, make_grid
+from envelope_oracle import bisect_fit, coverage_lower, coverage_upper
 
 AX, RAD = WeightCase.AXIS_POWER, WeightCase.RADIAL_POWER
 
@@ -160,6 +161,69 @@ class TestEnvelopeFits:
             assert fit.lower > 0.0 and fit.upper > fit.lower
             assert fit.lower_coverage >= 0.99
             assert fit.upper_coverage >= 0.99
+
+    @pytest.fixture(scope="class")
+    def oracle_cases(self, suites):
+        """The desk suites plus two steep weights, each at times 0.5, 1, 2,
+        and the a = 0.5 tables perturbed by 1e-9 so that the mirror entries
+        (i, j) and (j, i) no longer tie."""
+        extra = [WeightSpec(AX, 0.9, 3), WeightSpec(RAD, 2.5, 3)]
+        all_suites = dict(suites)
+        for spec in extra:
+            all_suites[spec] = KernelSuite(spec, make_grid(spec, 16.0, 192, 2.0), steps=256)
+        cases = {
+            spec: [all_suites[spec].table(t) for t in (0.5, 1.0, 2.0)] for spec in [*DESK_SPECS, *extra]
+        }
+        rng = np.random.default_rng(5)
+        cases["untied"] = [
+            KernelTable(tb.spec, tb.grid, tb.t, tb.steps, tb.mesh,
+                        tb.matrix * rng.uniform(1 - 1e-9, 1 + 1e-9, tb.matrix.shape))
+            for tb in cases[WeightSpec(AX, 0.5, 1)]
+        ]
+        return [(label, kind, tables) for label, tables in cases.items() for kind in ("minbranch", "sandwich")]
+
+    def test_matches_bisection_oracle(self, oracle_cases):
+        # the 48-halving bisection resolves the upper constant to 7.4e-14 and
+        # the lower one to 1.2e-13 relative
+        for spec, kind, tables in oracle_cases:
+            fit = fit_envelope_constants(tables, 0.99, kind=kind)
+            _, (low, up), _ = bisect_fit(tables, 0.99, kind)
+            assert fit.lower == pytest.approx(low, rel=2e-13), (spec, kind)
+            assert fit.upper == pytest.approx(up, rel=2e-13), (spec, kind)
+
+    def test_constants_are_tight_under_direct_coverage(self, oracle_cases):
+        for spec, kind, tables in oracle_cases:
+            fit = fit_envelope_constants(tables, 0.99, kind=kind)
+            data, _, _ = bisect_fit(tables, 0.99, kind)
+            assert coverage_upper(data, fit.upper * (1 + 1e-12), kind) >= 0.99, (spec, kind)
+            assert coverage_upper(data, fit.upper * (1 - 1e-12), kind) < 0.99, (spec, kind)
+            assert coverage_lower(data, fit.lower * (1 - 1e-12), kind) >= 0.99, (spec, kind)
+            assert coverage_lower(data, fit.lower * (1 + 1e-12), kind) < 0.99, (spec, kind)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_z=st.floats(-300.0, 300.0),
+        log_val=st.floats(-3.0, 3.0),
+        log_pref=st.floats(-3.0, 3.0),
+    )
+    def test_thresholds_solve_lambert_w(self, log_z, log_val, log_pref):
+        val, pref = 10.0**log_val, 10.0**log_pref
+        k = 10.0**log_z * val / pref
+        z = k * pref / val
+        c = kernel._thresholds(np.array([val]), pref, np.array([k]))[0]
+        assert k / c == pytest.approx(lambertw(z).real, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        val=st.one_of(st.just(0.0), st.floats(5e-324, 1e-300), st.floats(1e-300, 1e3)),
+        k=st.one_of(st.just(0.0), st.floats(5e-324, 1e300)),
+        pref=st.floats(1e-3, 1e300),
+    )
+    def test_thresholds_never_nan(self, val, k, pref):
+        c = kernel._thresholds(np.array([val]), pref, np.array([k]))[0]
+        assert c == 0.0 or (math.isfinite(c) and c > 0.0)
+        if val == 0.0:
+            assert c == 0.0
 
     def test_impossible_coverage_is_named_failure(self, suites):
         tb = suites[WeightSpec(AX, 0.0, 1)].table(1.0)

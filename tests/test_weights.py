@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -188,10 +188,28 @@ class TestBallMassGaussRules:
             got = ball_mass(spec, c, ORACLE_RADIUS)
             assert abs(got - ref) <= 1e-12 * ref, (ratio, got, ref)
 
-    # n = 1 is the closed form, whose primitive difference loses eps * c / r
     @given(
         case=st.sampled_from([AX, RAD]),
-        n=st.integers(2, 4),
+        a=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+        log_gap=st.floats(-15.0, 300.0),
+        log_r=st.floats(-300.0, 0.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_n1_interval_mass_matches_mpmath(self, case, a, log_gap, log_r):
+        # c/r = 1 + 10^log_gap runs from 1 + 1e-15 to 1e300; c + r is exact
+        # in mpmath only with more than log10(c/r) + 17 digits
+        r = 10.0**log_r
+        c = (1.0 + 10.0**log_gap) * r
+        with mp.workdps(360):
+            q = mp.mpf(a) + 1
+            ref = float(((mp.mpf(c) + mp.mpf(r)) ** q - (mp.mpf(c) - mp.mpf(r)) ** q) / q)
+        assume(sys.float_info.min <= ref < math.inf)
+        got = float(_ball_masses(WeightSpec(case, a, 1), c, r))
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0), (c, r, got, ref)
+
+    @given(
+        case=st.sampled_from([AX, RAD]),
+        n=st.integers(1, 4),
         r=st.floats(1e-3, 1e3),
         c_over_r=st.one_of(st.just(0.0), st.floats(1e-9, 1e6), st.floats(1.0 - 1e-6, 1.0 + 1e-6)),
     )
