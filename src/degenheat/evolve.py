@@ -296,6 +296,7 @@ def split_step_reference(
     """
     times = sorted(float(t) for t in times)
     v = suite.extend(u0.values)
+    root = np.sqrt(suite.mesh.masses)
     out: dict[float, np.ndarray] = {}
     now = 0.0
     for t in times:
@@ -304,7 +305,8 @@ def split_step_reference(
         h = seg / nsteps
         step = _implicit_step(suite.mesh, h)  # factored once per segment
         for _ in range(nsteps):
-            v = _reaction_flow(np.asarray_chkfinite(step(v)), p, h)
+            # the step acts on M^{1/2} v, the reaction flow on raw values
+            v = _reaction_flow(np.asarray_chkfinite(step(v * root) / root), p, h)
         now = t
         out[t] = suite.restrict(v)
     return out

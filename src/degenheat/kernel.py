@@ -15,13 +15,17 @@ is conserved to solver tolerance and the unit row/column mass property holds
 by construction.  Zero-flux truncation at R; no condition is imposed at the
 singular point, where the vanishing face weight encodes the degeneracy.
 
-Every ``propagate`` call factors its tridiagonal step matrix I - dt A once
-with LAPACK ``dgttrf`` and then takes each step as one ``dgttrs`` solve over
-all right-hand-side columns.
+The generator is A = -M^{-1} L with L symmetric tridiagonal and M the
+diagonal of cell masses, so S = M^{1/2} (-A) M^{-1/2} is symmetric
+tridiagonal and positive semidefinite (``_symmetric_generator``), and
+I - dt A = M^{-1/2} (I + dt S) M^{1/2}.  Every ``propagate`` call scales its
+input once to y = M^{1/2} v, factors I + dt S once as L D L^T with LAPACK
+``dpttrf``, takes each step as one in-place ``dpttrs`` solve over all
+right-hand-side columns, and scales back once.  I + dt S is an M-matrix, so
+each update of the substitutions adds terms of one sign: nonnegative input
+stays exactly nonnegative, and no pivoting is needed.
 
-Kernel tables take the same steps in closed form.  The generator is
-A = -M^{-1} L with L symmetric tridiagonal and M the diagonal of cell
-masses, so S = M^{1/2} (-A) M^{-1/2} is symmetric tridiagonal and, with
+Kernel tables take the same steps in closed form.  With
 S = V diag(lam) V^T from LAPACK ``dstemr`` (MRRR, Dhillon-Parlett), the
 table after ``steps`` steps of size dt is
 
@@ -48,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs, dstemr
+from scipy.linalg.lapack import dpttrf, dpttrs, dstemr
 
 from .lorentz import INF, LorentzIndex, StepFunction, lorentz_norm
 from .weights import Grid, WeightCase, WeightSpec, _ball_masses
@@ -139,32 +143,42 @@ def solver_mesh(grid: Grid) -> SolverMesh:
 def propagate(mesh: SolverMesh, values: np.ndarray, t: float, steps: int) -> np.ndarray:
     """Apply the implicit semigroup over time t with the given step count.
 
-    I - (t/steps) A is factored once (``dgttrf``) and each step is one
-    ``dgttrs`` solve, in place, on all columns of ``values`` at once.
+    The values are scaled once to y = M^{1/2} v, I + (t/steps) S is factored
+    once (``dpttrf``), each step is one ``dpttrs`` solve, in place, on all
+    columns at once, and the result is scaled back once.
     """
     if t == 0.0 or steps == 0:
         return np.asarray(values, dtype=float).copy()
     step = _implicit_step(mesh, t / steps)
-    out = np.array(np.asarray_chkfinite(values, dtype=float), order="F")
+    root = np.sqrt(mesh.masses)
+    # scaling the transpose leaves the result Fortran-ordered, as dpttrs
+    # needs to solve in place
+    out = (np.asarray_chkfinite(values, dtype=float).T * root).T
     for _ in range(steps):
         out = step(out)
-    return np.asarray_chkfinite(out)
+    return np.asarray_chkfinite((out.T / root).T)
+
+
+def _symmetric_generator(mesh: SolverMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of S = M^{1/2} (-A) M^{-1/2}: upper + lower
+    and -cond_i / sqrt(m_i m_{i+1}) = -sqrt(upper_i lower_{i+1})."""
+    return mesh.upper + mesh.lower, -np.sqrt(mesh.upper[:-1] * mesh.lower[1:])
 
 
 def _implicit_step(mesh: SolverMesh, dt: float) -> Callable[[np.ndarray], np.ndarray]:
-    """One implicit step of size dt: I - dt A is factored here (``dgttrf``),
-    and the returned function solves it (``dgttrs``) in place on a float64
-    Fortran-ordered array, returning the result."""
+    """One implicit step of size dt in the variables y = M^{1/2} v: I + dt S
+    is factored here (``dpttrf``), and the returned function solves it
+    (``dpttrs``) in place on a float64 Fortran-ordered array, returning the
+    result."""
     if dt < 0.0:
         raise ValueError(f"propagation time must be nonnegative, got a step of {dt}")
-    dl, d, du, du2, ipiv, info = dgttrf(
-        -dt * mesh.lower[1:], 1.0 + dt * (mesh.upper + mesh.lower), -dt * mesh.upper[:-1]
-    )
+    diag, off = _symmetric_generator(mesh)
+    d, e, info = dpttrf(1.0 + dt * diag, dt * off, overwrite_d=True, overwrite_e=True)
     if info != 0:
-        raise LinAlgError(f"implicit step matrix is singular (dgttrf info={info})")
+        raise LinAlgError(f"implicit step matrix is not positive definite (dpttrf info={info})")
 
     def step(values: np.ndarray) -> np.ndarray:
-        return dgttrs(dl, d, du, du2, ipiv, values, overwrite_b=True)[0]
+        return dpttrs(d, e, values, overwrite_b=True)[0]
 
     return step
 
@@ -542,12 +556,11 @@ def _spectrum(mesh: SolverMesh) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues lam of -A, ascending, and the scaled eigenvectors W = M^{-1/2} V.
 
     V holds the orthonormal eigenvectors of the symmetric tridiagonal
-    S = M^{1/2} (-A) M^{-1/2}: its diagonal is upper + lower and its
-    off-diagonal -cond_i / sqrt(m_i m_{i+1}) = -sqrt(upper_i lower_{i+1}).
+    S = M^{1/2} (-A) M^{-1/2} (``_symmetric_generator``).
     """
-    off = np.zeros(mesh.size)  # dstemr takes e with n entries, the last unused
-    off[:-1] = -np.sqrt(mesh.upper[:-1] * mesh.lower[1:])
-    _found, lam, v, info = dstemr(mesh.upper + mesh.lower, off, 0, 0.0, 0.0, 0, 0)
+    diag, off = _symmetric_generator(mesh)
+    # dstemr takes e with n entries, the last unused
+    _found, lam, v, info = dstemr(diag, np.append(off, 0.0), 0, 0.0, 0.0, 0, 0)
     if info != 0:
         raise LinAlgError(f"tridiagonal eigensolver failed (dstemr info={info})")
     # -A conserves mass, so its least eigenvalue is exactly 0.  dstemr finds it
