@@ -35,7 +35,7 @@ from .lorentz import (
     inequality_suite,
 )
 from .profiles import build_initial_data
-from .weights import GridFunction, WeightSpec, fit_ball_constants, make_grid
+from .weights import GridFunction, fit_ball_constants
 
 NUMERIC_FAILURES = (
     KernelInvariantError,
@@ -45,14 +45,8 @@ NUMERIC_FAILURES = (
     NormReconciliationError,
     SmallnessError,
     FloatingPointError,
+    np.linalg.LinAlgError,
 )
-
-
-def _suite(cfg: ExperimentConfig, alpha: float) -> KernelSuite:
-    """The configured grid and kernel suite for weight exponent alpha."""
-    spec = WeightSpec(cfg.case, alpha, cfg.dimension)
-    grid = make_grid(spec, cfg.grid_radius, cfg.grid_cells, cfg.grid_grading)
-    return KernelSuite(spec, grid, steps=cfg.kernel_steps, cache_dir=cfg.kernel_cache_dir)
 
 
 def _write(path: Path, lines: list[str]) -> None:
@@ -85,7 +79,7 @@ def _trajectory_csv(times, sup, strong, weak, qs) -> list[str]:
 
 def cmd_kernel_verify(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     constants = FittedConstants()
-    suite = _suite(cfg, cfg.exponent)
+    suite = cfg.suite(cfg.exponent)
     spec, grid = suite.spec, suite.grid
     report = verify_kernel(spec, grid, list(cfg.kernel_times), steps=cfg.kernel_steps, suite=suite)
     constants.sandwich_lower = report.sandwich.lower
@@ -136,7 +130,7 @@ def _gaussian_match_error(suite: KernelSuite, times) -> float:
 
 def cmd_lorentz_selftest(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     rng = np.random.default_rng(seed)
-    grid = cfg.grid()
+    grid = cfg.grid(cfg.exponent)
     lines = ["function,check,lhs,rhs,margin"]
     ok = True
     cases: list[tuple[str, GridFunction | StepFunction, GridFunction | StepFunction]] = []
@@ -167,7 +161,7 @@ def cmd_lorentz_selftest(cfg: ExperimentConfig, out: Path, seed: int) -> int:
 
 
 def cmd_evolve(cfg: ExperimentConfig, out: Path, seed: int) -> int:
-    suite = _suite(cfg, cfg.exponent)
+    suite = cfg.suite(cfg.exponent)
     spec = suite.spec
     u0, _ = build_initial_data(suite.grid, cfg.u0_descriptor)
     na = spec.dimension + spec.alpha
@@ -189,7 +183,7 @@ def cmd_evolve(cfg: ExperimentConfig, out: Path, seed: int) -> int:
 
 
 def cmd_decay_fit(cfg: ExperimentConfig, out: Path, seed: int) -> int:
-    suite = _suite(cfg, cfg.exponent)
+    suite = cfg.suite(cfg.exponent)
     grid = suite.grid
     lines = ["q,r,kind,slope,intercept,predicted,relative_error"]
     for q, r, kind in cfg.decay_pairs:
@@ -209,7 +203,7 @@ def cmd_decay_fit(cfg: ExperimentConfig, out: Path, seed: int) -> int:
 
 
 def cmd_classify(cfg: ExperimentConfig, out: Path, seed: int) -> int:
-    suite = _suite(cfg, cfg.exponent)
+    suite = cfg.suite(cfg.exponent)
     spec = suite.spec
     u0, fn = build_initial_data(suite.grid, cfg.u0_descriptor)
     cell = blowup.classify(spec, cfg.evolve.p, u0, cfg.evolve, suite, u0_fn=fn)
@@ -229,7 +223,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     if not cfg.sweep_p:
         raise ConfigError("sweep requires sweep.p", key="sweep.p")
     report = blowup.sweep_dichotomy(
-        [_suite(cfg, a) for a in cfg.sweep_alpha], list(cfg.sweep_p), cfg.evolve,
+        [cfg.suite(a) for a in cfg.sweep_alpha], list(cfg.sweep_p), cfg.evolve,
         cfg.sweep_u0, cfg.sweep_delta0, cfg.sweep_super_horizon,
     )
     _write(out / "sweep.csv", blowup.dichotomy_csv_lines(report))

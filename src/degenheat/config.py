@@ -1,19 +1,25 @@
 """Flat key-value experiment configs with dotted section names.
 
 The format is deliberately plain: one ``section.key = value`` per line,
-``#`` comments, no nesting.  Parsing keeps line numbers so validation
-failures cite both the line and the field.
+``#`` comments, no nesting.  Each key is one row of ``_KEYS``.  Loading
+checks every value, the grids and the initial data; a failure cites both
+the line and the field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import Any, Callable
+
+import numpy as np
 
 from .evolve import EvolveConfig
-from .kernel import _verification_times
-from .weights import WeightCase, WeightSpec, make_grid
+from .kernel import KernelSuite, _verification_times
+from .profiles import build_initial_data
+from .weights import Grid, GridError, WeightCase, WeightSpec, make_grid
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "load_config"]
 
@@ -31,122 +37,185 @@ class ConfigError(ValueError):
         self.key = key
 
 
-_KNOWN_KEYS = {
-    "weight.case", "weight.exponent", "weight.dimension",
-    "grid.radius", "grid.cells", "grid.grading",
-    "kernel.times", "kernel.steps", "kernel.cache_dir",
-    "evolve.p", "evolve.u0", "evolve.horizon", "evolve.ladder_t0",
-    "evolve.picard_tol", "evolve.max_picard", "evolve.blowup_threshold",
-    "evolve.duhamel_steps", "evolve.substeps", "evolve.record_q",
-    "evolve.smallness_delta",
-    "decay.pairs", "decay.times",
-    "sweep.p", "sweep.alpha", "sweep.u0", "sweep.delta0", "sweep.super_horizon",
-}
-
-
-@dataclass
 class ExperimentConfig:
-    raw: dict[str, str]
-    lines: dict[str, int]
+    """A resolved config: the attribute each row of ``_KEYS`` names and
+    ``lines``, the line of each given key.  ``grid`` and ``suite`` are the
+    one place a grid is built."""
 
-    # resolved sections
-    case: WeightCase = WeightCase.AXIS_POWER
-    exponent: float = 0.5
-    dimension: int = 1
-    grid_radius: float = 32.0
-    grid_cells: int = 256
-    grid_grading: float = 2.0
-    kernel_times: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
-    kernel_steps: int = 256
-    kernel_cache_dir: str | None = None
-    evolve: EvolveConfig = field(default_factory=lambda: EvolveConfig(p=2.0))
-    u0_descriptor: str = "bump(0,1,1)"
-    decay_pairs: tuple[tuple[float, float, str], ...] = ()
-    decay_times: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0)
-    sweep_p: tuple[float, ...] = ()
-    sweep_alpha: tuple[float, ...] = ()
-    sweep_u0: str = "bump(0,1,0.75)"
-    sweep_delta0: float = 0.1
-    sweep_super_horizon: float = 65536.0
+    def __init__(self, lines: dict[str, int]):
+        self.lines = lines
+        self.evolve = _EVOLVE
+        self._grids: dict[float, Grid] = {}
 
-    def spec(self) -> WeightSpec:
-        return WeightSpec(self.case, self.exponent, self.dimension)
+    def grid(self, alpha: float) -> Grid:
+        """The configured grid for weight exponent alpha, built once."""
+        if alpha not in self._grids:
+            spec = WeightSpec(self.case, alpha, self.dimension)
+            self._grids[alpha] = make_grid(spec, self.grid_radius, self.grid_cells, self.grid_grading)
+        return self._grids[alpha]
 
-    def grid(self):
-        return make_grid(self.spec(), self.grid_radius, self.grid_cells, self.grid_grading)
+    def suite(self, alpha: float) -> KernelSuite:
+        """The kernel suite on the configured grid for weight exponent alpha."""
+        grid = self.grid(alpha)
+        return KernelSuite(grid.spec, grid, self.kernel_steps, self.kernel_cache_dir)
 
     def manifest_lines(self) -> list[str]:
-        ev = self.evolve
-        resolved = {
-            "weight.case": self.case.value,
-            "weight.exponent": f"{self.exponent:.17g}",
-            "weight.dimension": str(self.dimension),
-            "grid.radius": f"{self.grid_radius:.17g}",
-            "grid.cells": str(self.grid_cells),
-            "grid.grading": f"{self.grid_grading:.17g}",
-            "kernel.times": ",".join(f"{t:.17g}" for t in self.kernel_times),
-            "kernel.steps": str(self.kernel_steps),
-            "kernel.cache_dir": self.kernel_cache_dir or "",
-            "evolve.p": f"{ev.p:.17g}",
-            "evolve.u0": self.u0_descriptor,
-            "evolve.horizon": f"{ev.horizon:.17g}",
-            "evolve.ladder_t0": f"{ev.ladder_t0:.17g}",
-            "evolve.picard_tol": f"{ev.picard_tol:.17g}",
-            "evolve.max_picard": str(ev.max_picard),
-            "evolve.blowup_threshold": "" if ev.blowup_threshold is None else f"{ev.blowup_threshold:.17g}",
-            "evolve.duhamel_steps": str(ev.duhamel_steps),
-            "evolve.substeps": str(ev.substeps),
-            "evolve.record_q": ",".join(f"{q:.17g}" for q in ev.record_q),
-            "evolve.smallness_delta": f"{ev.smallness_delta:.17g}",
-            "decay.pairs": ",".join(f"{q:g}:{r:g}:{k}" for q, r, k in self.decay_pairs),
-            "decay.times": ",".join(f"{t:.17g}" for t in self.decay_times),
-            "sweep.p": ",".join(f"{p:.17g}" for p in self.sweep_p),
-            "sweep.alpha": ",".join(f"{a:.17g}" for a in self.sweep_alpha),
-            "sweep.u0": self.sweep_u0,
-            "sweep.delta0": f"{self.sweep_delta0:.17g}",
-            "sweep.super_horizon": f"{self.sweep_super_horizon:.17g}",
-        }
-        return [f"{k} = {v}" for k, v in sorted(resolved.items())]
+        keys = sorted(_KEYS, key=attrgetter("name"))
+        return [f"{k.name} = {k.show(attrgetter(k.attr)(self))}" for k in keys]
 
 
-def _parse_float(cfg: "ExperimentConfig", key: str, value: str) -> float:
+def _float(text: str) -> float:
     try:
-        v = float(value)
+        v = float(text)
     except ValueError:
-        raise ConfigError(f"expected a number, got {value!r}", cfg.lines.get(key), key)
+        v = math.nan
     if not math.isfinite(v):
-        raise ConfigError(f"expected a finite number, got {value!r}", cfg.lines.get(key), key)
+        raise ValueError(f"expected a finite number, got {text!r}")
     return v
 
 
-def _parse_int(cfg: "ExperimentConfig", key: str, value: str) -> int:
+def _int(text: str) -> int:
     try:
-        return int(value)
+        return int(text)
     except ValueError:
-        raise ConfigError(f"expected an integer, got {value!r}", cfg.lines.get(key), key)
+        raise ValueError(f"expected an integer, got {text!r}") from None
 
 
-def _parse_floats(cfg: "ExperimentConfig", key: str, value: str) -> tuple[float, ...]:
-    return tuple(_parse_float(cfg, key, part) for part in value.split(",") if part.strip())
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(_float(part) for part in text.split(",") if part.strip())
 
 
-def _check_exponent(cfg: "ExperimentConfig", key: str, a: float) -> None:
-    """The weight exponent range of the configured case: a < 1 or b < n."""
-    if a < 0.0:
-        raise ConfigError("weight exponent must be nonnegative", cfg.lines.get(key), key)
-    if cfg.case is WeightCase.AXIS_POWER and not a < 1.0:
-        raise ConfigError(
-            f"axis-power weights require exponent a < 1, got {a:g}", cfg.lines.get(key), key
-        )
-    if cfg.case is WeightCase.RADIAL_POWER and not a < cfg.dimension:
-        raise ConfigError(
-            f"radial-power weights require exponent b < n = {cfg.dimension}, got {a:g}",
-            cfg.lines.get(key), key,
-        )
+def _case(text: str) -> WeightCase:
+    try:
+        return WeightCase(text)
+    except ValueError:
+        raise ValueError(f"expected 'axis' or 'radial', got {text!r}") from None
+
+
+def _decay_pairs(text: str) -> tuple[tuple[float, float, str], ...]:
+    pairs = []
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        bits = part.split(":")
+        if len(bits) != 3 or bits[2] not in ("strong", "weak"):
+            raise ValueError(f"decay pair must look like 'q:r:strong|weak', got {part!r}")
+        q, r = (math.inf if b == "inf" else _float(b) for b in bits[:2])
+        pairs.append((q, r, bits[2]))
+    return tuple(pairs)
+
+
+def _positive(value: float, cfg: ExperimentConfig) -> None:
+    if not value > 0:
+        raise ValueError(f"must be positive, got {value:g}")
+
+
+def _grids(alphas: tuple[float, ...], cfg: ExperimentConfig) -> None:
+    """Each exponent lies in the range of the case (a < 1, or b < n: checked
+    by WeightSpec) and its grid can be built."""
+    for a in alphas:
+        cfg.grid(a)
+
+
+def _sweep_p(ps: tuple[float, ...], cfg: ExperimentConfig) -> None:
+    for p in ps:
+        if not p > 1.0:
+            raise ValueError(f"sweep exponents must satisfy p > 1, got {p:g}")
+
+
+def _kernel_times(times: tuple[float, ...], cfg: ExperimentConfig) -> None:
+    if any(t <= 0.0 for t in times):
+        raise ValueError("kernel times must be positive")
+    _verification_times(times)
+
+
+def _initial_data(descriptor: str, cfg: ExperimentConfig) -> None:
+    """The descriptor builds nonnegative data on the configured nodes, which
+    no weight exponent changes."""
+    try:
+        u0, _ = build_initial_data(cfg.grid(cfg.exponent), descriptor)
+    except OSError as exc:
+        raise ValueError(f"cannot read initial data: {exc}") from exc
+    if np.any(u0.values < 0.0):
+        raise ValueError("initial data must be nonnegative")
+
+
+_g17 = "{:.17g}".format
+
+
+def _g17s(xs: tuple[float, ...]) -> str:
+    return ",".join(map(_g17, xs))
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key, its value held at ``attr`` of ``ExperimentConfig``.
+
+    ``default`` is the value of an absent key, or a function of the config so
+    far that also stands in for an empty value.  ``parse`` (of the text) and
+    ``check`` (of the value, against the config so far) raise ``ValueError``.
+    ``show`` is the manifest format.
+    """
+
+    name: str
+    attr: str
+    default: Any
+    parse: Callable[[str], Any]
+    check: Callable[[Any, ExperimentConfig], None] | None = None
+    show: Callable[[Any], str] = _g17
+
+
+# The evolve.* defaults are EvolveConfig's own; the config's p is 2.
+_EVOLVE = EvolveConfig(p=2.0)
+
+
+def _evolve(field: str, parse: Callable[[str], Any], show: Callable[[Any], str] = _g17) -> _Key:
+    return _Key("evolve." + field, "evolve." + field, getattr(_EVOLVE, field), parse, show=show)
+
+
+# In load order: a check sees the keys above it.
+_KEYS = (
+    _Key("weight.case", "case", WeightCase.AXIS_POWER, _case, show=attrgetter("value")),
+    _Key("weight.dimension", "dimension", 1, _int, _positive, str),
+    _Key("grid.radius", "grid_radius", 32.0, _float),
+    _Key("grid.cells", "grid_cells", 256, _int, show=str),
+    _Key("grid.grading", "grid_grading", 2.0, _float),
+    _Key("weight.exponent", "exponent", 0.5, _float, lambda a, cfg: _grids((a,), cfg)),
+    _Key("kernel.times", "kernel_times", (0.25, 0.5, 1.0, 2.0, 4.0), _floats, _kernel_times, _g17s),
+    _Key("kernel.steps", "kernel_steps", 256, _int, _positive, str),
+    _Key(
+        "kernel.cache_dir", "kernel_cache_dir", None, lambda text: text or None,
+        show=lambda d: d or "",
+    ),
+    _evolve("p", _float),
+    _evolve("horizon", _float),
+    _evolve("ladder_t0", _float),
+    _evolve("picard_tol", _float),
+    _evolve("max_picard", _int, str),
+    _evolve(
+        "blowup_threshold", lambda text: _float(text) if text else None,
+        lambda t: "" if t is None else _g17(t),
+    ),
+    _evolve("duhamel_steps", _int, str),
+    _evolve("substeps", _int, str),
+    _evolve("record_q", _floats, _g17s),
+    _evolve("smallness_delta", _float),
+    _Key("evolve.u0", "u0_descriptor", "bump(0,1,1)", str, _initial_data, str),
+    _Key(
+        "decay.pairs", "decay_pairs",
+        ((1.0, math.inf, "strong"), (1.0, 2.0, "strong"), (2.0, math.inf, "weak")), _decay_pairs,
+        show=lambda pairs: ",".join(f"{q:g}:{r:g}:{kind}" for q, r, kind in pairs),
+    ),
+    _Key("decay.times", "decay_times", (1.0, 2.0, 4.0, 8.0, 16.0), _floats, show=_g17s),
+    _Key("sweep.p", "sweep_p", (), _floats, _sweep_p, _g17s),
+    _Key("sweep.alpha", "sweep_alpha", lambda cfg: (cfg.exponent,), _floats, _grids, _g17s),
+    _Key("sweep.u0", "sweep_u0", "bump(0,1,0.75)", str, _initial_data, str),
+    _Key("sweep.delta0", "sweep_delta0", 0.1, _float, _positive),
+    _Key("sweep.super_horizon", "sweep_super_horizon", 65536.0, _float, _positive),
+)
+_KNOWN_KEYS = frozenset(k.name for k in _KEYS)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    raw: dict[str, str] = {}
+    given: dict[str, str] = {}
     lines: dict[str, int] = {}
     for i, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -157,108 +226,30 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in body.split("=", 1))
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"unknown key {key!r}", line=i, key=key)
-        if key in raw:
+        if key in given:
             raise ConfigError(f"duplicate key {key!r}", line=i, key=key)
-        raw[key] = value
+        given[key] = value
         lines[key] = i
 
-    cfg = ExperimentConfig(raw=raw, lines=lines)
-
-    def get(key: str, default: str | None = None) -> str | None:
-        return raw.get(key, default)
-
-    case_txt = get("weight.case", "axis")
-    if case_txt not in ("axis", "radial"):
-        raise ConfigError(
-            f"weight.case must be 'axis' or 'radial', got {case_txt!r}",
-            lines.get("weight.case"), "weight.case",
-        )
-    cfg.case = WeightCase.AXIS_POWER if case_txt == "axis" else WeightCase.RADIAL_POWER
-    cfg.dimension = _parse_int(cfg, "weight.dimension", get("weight.dimension", "1"))
-    cfg.exponent = _parse_float(cfg, "weight.exponent", get("weight.exponent", "0.5"))
-    if cfg.dimension < 1:
-        raise ConfigError("dimension must be a positive integer",
-                          lines.get("weight.dimension"), "weight.dimension")
-    _check_exponent(cfg, "weight.exponent", cfg.exponent)
-
-    cfg.grid_radius = _parse_float(cfg, "grid.radius", get("grid.radius", "32"))
-    cfg.grid_cells = _parse_int(cfg, "grid.cells", get("grid.cells", "256"))
-    cfg.grid_grading = _parse_float(cfg, "grid.grading", get("grid.grading", "2.0"))
-    if cfg.grid_radius <= 0.0:
-        raise ConfigError("grid radius must be positive", lines.get("grid.radius"), "grid.radius")
-    if cfg.grid_cells < 16:
-        raise ConfigError("need at least 16 cells", lines.get("grid.cells"), "grid.cells")
-    if cfg.grid_grading < 1.0:
-        raise ConfigError("grading exponent must be >= 1", lines.get("grid.grading"), "grid.grading")
-
-    cfg.kernel_times = _parse_floats(cfg, "kernel.times", get("kernel.times", "0.25,0.5,1,2,4"))
-    cfg.kernel_steps = _parse_int(cfg, "kernel.steps", get("kernel.steps", "256"))
-    cfg.kernel_cache_dir = get("kernel.cache_dir") or None
-    if any(t <= 0.0 for t in cfg.kernel_times):
-        raise ConfigError("kernel times must be positive", lines.get("kernel.times"), "kernel.times")
-    try:
-        _verification_times(cfg.kernel_times)
-    except ValueError as exc:
-        raise ConfigError(str(exc), lines.get("kernel.times"), "kernel.times") from exc
-    if cfg.kernel_steps < 1:
-        raise ConfigError("kernel steps must be positive", lines.get("kernel.steps"), "kernel.steps")
-
-    thr_txt = get("evolve.blowup_threshold", "")
-    record_q = _parse_floats(cfg, "evolve.record_q", get("evolve.record_q", ""))
-    try:
-        cfg.evolve = EvolveConfig(
-            p=_parse_float(cfg, "evolve.p", get("evolve.p", "2.0")),
-            horizon=_parse_float(cfg, "evolve.horizon", get("evolve.horizon", "256")),
-            duhamel_steps=_parse_int(cfg, "evolve.duhamel_steps", get("evolve.duhamel_steps", "112")),
-            picard_tol=_parse_float(cfg, "evolve.picard_tol", get("evolve.picard_tol", "1e-6")),
-            blowup_threshold=None if not thr_txt else _parse_float(cfg, "evolve.blowup_threshold", thr_txt),
-            max_picard=_parse_int(cfg, "evolve.max_picard", get("evolve.max_picard", "60")),
-            substeps=_parse_int(cfg, "evolve.substeps", get("evolve.substeps", "4")),
-            ladder_t0=_parse_float(cfg, "evolve.ladder_t0", get("evolve.ladder_t0", "0.25")),
-            record_q=record_q,
-            smallness_delta=_parse_float(
-                cfg, "evolve.smallness_delta", get("evolve.smallness_delta", "0.1")
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="evolve") from exc
-    cfg.u0_descriptor = get("evolve.u0", "bump(0,1,1)")
-
-    pairs_txt = get("decay.pairs", "1:inf:strong,1:2:strong,2:inf:weak")
-    pairs = []
-    for part in pairs_txt.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        bits = part.split(":")
-        if len(bits) != 3 or bits[2] not in ("strong", "weak"):
-            raise ConfigError(
-                f"decay pair must look like 'q:r:strong|weak', got {part!r}",
-                lines.get("decay.pairs"), "decay.pairs",
-            )
-        q = math.inf if bits[0] == "inf" else _parse_float(cfg, "decay.pairs", bits[0])
-        r = math.inf if bits[1] == "inf" else _parse_float(cfg, "decay.pairs", bits[1])
-        pairs.append((q, r, bits[2]))
-    cfg.decay_pairs = tuple(pairs)
-    cfg.decay_times = _parse_floats(cfg, "decay.times", get("decay.times", "1,2,4,8,16"))
-
-    cfg.sweep_p = _parse_floats(cfg, "sweep.p", get("sweep.p", ""))
-    cfg.sweep_alpha = _parse_floats(cfg, "sweep.alpha", get("sweep.alpha", "")) or (cfg.exponent,)
-    cfg.sweep_u0 = get("sweep.u0", "bump(0,1,0.75)")
-    cfg.sweep_delta0 = _parse_float(cfg, "sweep.delta0", get("sweep.delta0", "0.1"))
-    cfg.sweep_super_horizon = _parse_float(
-        cfg, "sweep.super_horizon", get("sweep.super_horizon", "65536")
-    )
-    for p in cfg.sweep_p:
-        if not p > 1.0:
-            raise ConfigError(f"sweep exponents must satisfy p > 1, got {p:g}",
-                              lines.get("sweep.p"), "sweep.p")
-    for a in cfg.sweep_alpha:
-        _check_exponent(cfg, "sweep.alpha", a)
-    for key, value in (("sweep.delta0", cfg.sweep_delta0),
-                       ("sweep.super_horizon", cfg.sweep_super_horizon)):
-        if not value > 0.0:
-            raise ConfigError(f"{key} must be positive, got {value:g}", lines.get(key), key)
+    cfg = ExperimentConfig(lines)
+    for key in _KEYS:
+        text = given.get(key.name)
+        derived = callable(key.default)
+        try:
+            if text is None or (derived and not text):
+                value = key.default(cfg) if derived else key.default
+            else:
+                value = key.parse(text)
+            if key.check is not None:
+                key.check(value, cfg)
+            owner, _, field = key.attr.rpartition(".")
+            if owner:  # a field of the frozen EvolveConfig, which checks it
+                cfg.evolve = replace(cfg.evolve, **{field: value})
+            else:
+                setattr(cfg, key.attr, value)
+        except ValueError as exc:  # a grid is blamed on the grid key at fault
+            name = f"grid.{exc.param}" if isinstance(exc, GridError) else key.name
+            raise ConfigError(str(exc), lines.get(name), name) from exc
     return cfg
 
 

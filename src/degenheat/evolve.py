@@ -93,12 +93,9 @@ class EvolveConfig:
     def __post_init__(self) -> None:
         if not self.p > 1.0:
             raise ValueError(f"nonlinearity exponent must satisfy p > 1, got {self.p}")
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.duhamel_steps < 1 or self.max_picard < 1 or self.substeps < 1:
-            raise ValueError("duhamel_steps, max_picard, and substeps must be positive")
-        if not self.picard_tol > 0.0:
-            raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
+        for name in ("horizon", "duhamel_steps", "max_picard", "substeps", "picard_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.blowup_threshold is not None and not self.blowup_threshold > 0.0:
             raise ValueError("blowup_threshold must be positive when given")
 
@@ -186,12 +183,17 @@ def picard_iterate(u0: GridFunction, cfg: EvolveConfig, suite: KernelSuite) -> P
     sup0 = float(np.max(u0_full))
     threshold = cfg.blowup_threshold if cfg.blowup_threshold is not None else 1e6 * max(sup0, 1e-12)
     cap = 10.0 * threshold
+    with np.errstate(over="ignore"):
+        g = np.minimum(u0_full, cap) ** cfg.p
+    if not (math.isfinite(threshold) and np.all(np.isfinite(g))):
+        raise FloatingPointError(
+            f"u0^p or the escape threshold overflows: sup u0 = {sup0:g}, p = {cfg.p:g}"
+        )
 
     fields = np.empty((masters.size, u0_full.size))
     linear = np.empty_like(fields)
     fields[0] = linear[0] = u0_full
     z = np.zeros_like(u0_full)
-    g = np.minimum(u0_full, cap) ** cfg.p
     iterations: list[int] = []
     outcome = Outcome.CONVERGED
     escape_time: float | None = None

@@ -78,6 +78,8 @@ def parse_descriptor(text: str) -> tuple[str, tuple[float, ...] | str]:
     want = {"bump": 3, "corollary_profile": 2, "indicator": 1}[name]
     if len(args) != want:
         raise ValueError(f"descriptor {name} takes {want} arguments, got {len(args)}")
+    if not np.all(np.isfinite(args)):
+        raise ValueError(f"non-finite argument in descriptor {text!r}")
     return name, args
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "WeightCase",
     "WeightSpec",
     "Grid",
+    "GridError",
     "GridFunction",
     "BallEnvelope",
     "BallFit",
@@ -69,10 +70,10 @@ class WeightSpec:
         if not math.isfinite(a) or a < 0.0:
             raise ValueError(f"exponent must be a finite nonnegative real, got {a}")
         if self.case is WeightCase.AXIS_POWER and not a < 1.0:
-            raise ValueError(f"axis-power weights require exponent in [0, 1), got {a}")
+            raise ValueError(f"axis-power weights require exponent a < 1, got {a:g}")
         if self.case is WeightCase.RADIAL_POWER and not a < self.dimension:
             raise ValueError(
-                f"radial-power weights require exponent in [0, n) with n={self.dimension}, got {a}"
+                f"radial-power weights require exponent b < n = {self.dimension}, got {a:g}"
             )
 
     @property
@@ -443,6 +444,14 @@ class Grid:
         return self.function(np.full(self.n_nodes, float(value)))
 
 
+class GridError(ValueError):
+    """A grid ``make_grid`` cannot build; ``param`` names the argument to blame."""
+
+    def __init__(self, param: str, message: str):
+        super().__init__(message)
+        self.param = param
+
+
 def make_grid(spec: WeightSpec, radius: float, cells: int, grading: float = 2.0) -> Grid:
     """Build the graded half-line grid with nodes at R*(k/N)^grading.
 
@@ -451,28 +460,26 @@ def make_grid(spec: WeightSpec, radius: float, cells: int, grading: float = 2.0)
     up there.
     """
     if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+        raise GridError("radius", f"radius must be positive, got {radius}")
     if cells < 16:
-        raise ValueError(f"need at least 16 cells, got {cells}")
+        raise GridError("cells", f"need at least 16 cells, got {cells}")
     if not grading >= 1.0:
-        raise ValueError(f"grading exponent must be >= 1, got {grading}")
+        raise GridError("grading", f"grading exponent must be >= 1, got {grading}")
     k = np.arange(cells + 1, dtype=float)
-    nodes = radius * (k / cells) ** grading
-    assert np.all(np.diff(nodes) > 0.0), "node generation must be monotone"
+    unit_nodes = (k / cells) ** grading
+    if not np.all(np.diff(unit_nodes) > 0.0):
+        raise GridError("grading", f"grading {grading:g} makes nodes coincide on {cells} cells")
+    nodes = radius * unit_nodes
     bounds = np.empty(cells + 2, dtype=float)
     bounds[0] = 0.0
     bounds[-1] = radius
     bounds[1:-1] = 0.5 * (nodes[:-1] + nodes[1:])
     prim = np.asarray(spec.reduced_primitive(bounds))
     cell_mass = np.diff(prim)
-    return Grid(
-        spec=spec,
-        radius=float(radius),
-        grading=float(grading),
-        nodes=nodes,
-        cell_bounds=bounds,
-        cell_mass=cell_mass,
-    )
+    try:
+        return Grid(spec, float(radius), float(grading), nodes, bounds, cell_mass)
+    except ValueError as exc:  # the float range cannot hold cells this small
+        raise GridError("radius", f"radius {radius:g} with grading {grading:g}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,100 @@ import numpy as np
 import pytest
 
 from degenheat.cli import main
-from degenheat.config import ConfigError, parse_config_text
+from degenheat.config import _KNOWN_KEYS, ConfigError, parse_config_text
 from degenheat.profiles import build_initial_data, parse_descriptor
 from degenheat.weights import WeightCase, WeightSpec, make_grid
+
+# The production sweep config of scripts/run_dichotomy_sweep.py.
+SWEEP_CONFIG = """\
+weight.case = axis
+weight.exponent = 0.5
+weight.dimension = 1
+grid.radius = 7168
+grid.cells = 768
+grid.grading = 3
+kernel.steps = 256
+evolve.horizon = 256
+evolve.smallness_delta = 1.0
+sweep.p = 1.5,2.0,2.3333333333333335,3.0
+sweep.u0 = bump(0,1,0.75)
+sweep.delta0 = 0.1
+sweep.super_horizon = 65536
+"""
+
+SWEEP_MANIFEST = [
+    "decay.pairs = 1:inf:strong,1:2:strong,2:inf:weak",
+    "decay.times = 1,2,4,8,16",
+    "evolve.blowup_threshold = ",
+    "evolve.duhamel_steps = 112",
+    "evolve.horizon = 256",
+    "evolve.ladder_t0 = 0.25",
+    "evolve.max_picard = 60",
+    "evolve.p = 2",
+    "evolve.picard_tol = 9.9999999999999995e-07",
+    "evolve.record_q = ",
+    "evolve.smallness_delta = 1",
+    "evolve.substeps = 4",
+    "evolve.u0 = bump(0,1,1)",
+    "grid.cells = 768",
+    "grid.grading = 3",
+    "grid.radius = 7168",
+    "kernel.cache_dir = ",
+    "kernel.steps = 256",
+    "kernel.times = 0.25,0.5,1,2,4",
+    "sweep.alpha = 0.5",
+    "sweep.delta0 = 0.10000000000000001",
+    "sweep.p = 1.5,2,2.3333333333333335,3",
+    "sweep.super_horizon = 65536",
+    "sweep.u0 = bump(0,1,0.75)",
+    "weight.case = axis",
+    "weight.dimension = 1",
+    "weight.exponent = 0.5",
+]
+
+# A kernel-verify config that sets the keys with their own manifest formats.
+VERIFY_CONFIG = """\
+weight.case = radial
+weight.exponent = 1
+weight.dimension = 2
+grid.radius = 16
+grid.cells = 256
+grid.grading = 2
+kernel.times = 0.25,0.5,1,2
+kernel.cache_dir = cache/tables
+evolve.blowup_threshold = 1e4
+decay.pairs = 1:inf:strong,1.5:4:weak
+"""
+
+VERIFY_MANIFEST = [
+    "decay.pairs = 1:inf:strong,1.5:4:weak",
+    "decay.times = 1,2,4,8,16",
+    "evolve.blowup_threshold = 10000",
+    "evolve.duhamel_steps = 112",
+    "evolve.horizon = 256",
+    "evolve.ladder_t0 = 0.25",
+    "evolve.max_picard = 60",
+    "evolve.p = 2",
+    "evolve.picard_tol = 9.9999999999999995e-07",
+    "evolve.record_q = ",
+    "evolve.smallness_delta = 0.10000000000000001",
+    "evolve.substeps = 4",
+    "evolve.u0 = bump(0,1,1)",
+    "grid.cells = 256",
+    "grid.grading = 2",
+    "grid.radius = 16",
+    "kernel.cache_dir = cache/tables",
+    "kernel.steps = 256",
+    "kernel.times = 0.25,0.5,1,2",
+    "sweep.alpha = 1",
+    "sweep.delta0 = 0.10000000000000001",
+    "sweep.p = ",
+    "sweep.super_horizon = 65536",
+    "sweep.u0 = bump(0,1,0.75)",
+    "weight.case = radial",
+    "weight.dimension = 2",
+    "weight.exponent = 1",
+]
 
 
 class TestConfigParsing:
@@ -56,6 +147,8 @@ class TestConfigParsing:
             ("sweep.p = 0.5,3.0", "sweep.p"),
             ("sweep.delta0 = 0", "sweep.delta0"),
             ("sweep.super_horizon = -1", "sweep.super_horizon"),
+            ("evolve.horizon = -1", "evolve.horizon"),
+            ("evolve.substeps = 0", "evolve.substeps"),
         ],
     )
     def test_bad_sweep_value_cites_line_and_field(self, line, field):
@@ -72,8 +165,19 @@ class TestConfigParsing:
 
     def test_manifest_lines_cover_all_keys(self):
         cfg = parse_config_text("weight.case = axis\nweight.exponent = 0.5\n")
-        keys = {line.split(" = ")[0] for line in cfg.manifest_lines()}
-        assert {"weight.case", "grid.cells", "evolve.p", "sweep.delta0"} <= keys
+        keys = [line.split(" = ")[0] for line in cfg.manifest_lines()]
+        assert {"weight.case", "grid.cells", "evolve.p", "sweep.delta0"} <= set(keys)
+        assert keys == sorted(_KNOWN_KEYS) and len(keys) == 27
+
+    @pytest.mark.parametrize("config, expected", [(SWEEP_CONFIG, SWEEP_MANIFEST), (VERIFY_CONFIG, VERIFY_MANIFEST)])
+    def test_manifest_lines_golden(self, config, expected):
+        assert parse_config_text(config).manifest_lines() == expected
+
+    def test_readme_config_block_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        listed = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
+        assert sorted(listed) == sorted(_KNOWN_KEYS)
 
 
 class TestDescriptors:
@@ -84,7 +188,7 @@ class TestDescriptors:
         assert parse_descriptor("table:/tmp/u0.txt") == ("table", "/tmp/u0.txt")
 
     def test_malformed_rejected(self):
-        for bad in ("bump(1,2", "mystery(1)", "bump(a,b,c)", "bump(1)"):
+        for bad in ("bump(1,2", "mystery(1)", "bump(a,b,c)", "bump(1)", "bump(0,1,inf)", "indicator(nan)"):
             with pytest.raises(ValueError):
                 parse_descriptor(bad)
 
@@ -145,6 +249,36 @@ class TestCliCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert "field kernel.times" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, overrides, rc, cited",
+        [
+            ("evolve", {"evolve.u0": "bump(0,0,1)"}, 2, "evolve.u0"),
+            ("evolve", {"evolve.u0": "indicator(0)"}, 2, "evolve.u0"),
+            ("evolve", {"evolve.u0": "indicator(-1)"}, 2, "evolve.u0"),
+            ("evolve", {"evolve.u0": "table:{tmp}/missing.txt"}, 2, "evolve.u0"),
+            ("evolve", {"evolve.u0": "bump(0,1,1e308)"}, 1, "FloatingPointError"),
+            ("evolve", {"grid.radius": "1e-300"}, 2, "grid.radius"),
+            ("evolve", {"grid.grading": "1e308"}, 2, "grid.grading"),
+            ("sweep", {"sweep.p": "3.0", "sweep.u0": "indicator(0)"}, 2, "sweep.u0"),
+            # builds a grid whose face rates overflow: a numerical failure, not a traceback
+            ("evolve", {"grid.grading": "100"}, 1, "LinAlgError"),
+        ],
+    )
+    def test_bad_input_ends_in_a_cited_error(self, tmp_path, capsys, command, overrides, rc, cited):
+        overrides = {k: v.format(tmp=tmp_path) for k, v in overrides.items()}
+        cfgp = write_cfg(tmp_path, {"evolve.horizon": "2", **overrides})
+        assert main([command, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == rc
+        err = capsys.readouterr().err
+        assert cited in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"evolve.p": "1.0000000001"}, {"weight.exponent": "0.9999999999"}],
+    )
+    def test_inputs_at_the_edge_of_range_run(self, tmp_path, overrides):
+        cfgp = write_cfg(tmp_path, {"evolve.horizon": "2", **overrides})
+        assert main(["evolve", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
 
     def test_missing_config_exits_two(self, tmp_path):
         rc = main(["lorentz-selftest", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])

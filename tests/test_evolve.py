@@ -65,6 +65,11 @@ class TestConfigInvariants:
         with pytest.raises(ValueError):
             EvolveConfig(p=2.0, horizon=0.0)
 
+    @pytest.mark.parametrize("name", ["duhamel_steps", "max_picard", "substeps"])
+    def test_step_counts_positive_each_named(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got 0$"):
+            EvolveConfig(p=2.0, **{name: 0})
+
 
 class TestMasterTimes:
     def test_ladder_times_on_grid(self):
@@ -92,6 +97,12 @@ class TestPicard:
         cfg = EvolveConfig(p=2.0, horizon=1.0)
         with pytest.raises(ValueError):
             picard_iterate(suite.grid.constant(-1.0), cfg, suite)
+
+    @pytest.mark.parametrize("height", [1e200, 1e308])
+    def test_overflowing_data_is_a_floating_point_error(self, suite, height):
+        cfg = EvolveConfig(p=2.0, horizon=1.0)
+        with pytest.raises(FloatingPointError, match="sup u0 = .* p = 2"):
+            picard_iterate(suite.grid.function(bump(0.0, 1.0, height)), cfg, suite)
 
     def test_monotone_iterates_and_contraction(self, suite):
         u0 = suite.grid.function(bump(0.0, 0.8, 0.01))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from degenheat.weights import (
+    GridError,
     WeightCase,
     WeightSpec,
     _ball_masses,
@@ -328,6 +329,21 @@ class TestGrid:
     def test_small_cell_count_rejected(self):
         with pytest.raises(ValueError):
             make_grid(WeightSpec(AX, 0.0, 1), 1.0, 8)
+
+    @pytest.mark.parametrize(
+        "radius, cells, grading, param",
+        [
+            (0.0, 16, 2.0, "radius"),
+            (1.0, 8, 2.0, "cells"),
+            (1.0, 16, 0.5, "grading"),
+            (1.0, 16, 1e308, "grading"),  # every unit node but the last underflows to 0
+            (1e-300, 16, 2.0, "radius"),  # cell masses underflow to 0
+        ],
+    )
+    def test_unbuildable_grid_names_its_parameter(self, radius, cells, grading, param):
+        with pytest.raises(GridError) as info:
+            make_grid(WeightSpec(AX, 0.5, 1), radius, cells, grading)
+        assert info.value.param == param
 
     def test_grid_function_requires_finite(self):
         grid = make_grid(WeightSpec(AX, 0.0, 1), 1.0, 16)
