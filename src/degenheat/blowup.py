@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .constants import g17
 from .evolve import (
     EvolveConfig,
     Outcome,
@@ -31,11 +32,12 @@ from .evolve import (
 from .kernel import KernelSuite
 from .profiles import build_initial_data, corollary_profile
 from .semigroup import heat_core_lower
-from .weights import GridFunction, WeightSpec
+from .weights import GridFunction, WeightSpec, fujita_exponent, route_index
 
 __all__ = [
     "CriticalParams",
     "critical_parameters",
+    "is_critical",
     "log_ak",
     "ak_value",
     "kaplan_cstar_log_bound",
@@ -73,10 +75,13 @@ def critical_parameters(n: int, alpha: float, p: float) -> CriticalParams:
         raise ValueError(f"weight exponent must be nonnegative, got {alpha}")
     if not p > 1.0:
         raise ValueError(f"nonlinearity exponent must satisfy p > 1, got {p}")
-    return CriticalParams(
-        p_star=1.0 + 2.0 / (n + alpha),
-        r_star=0.5 * (n + alpha) * (p - 1.0),
-    )
+    na = n + alpha
+    return CriticalParams(p_star=fujita_exponent(na), r_star=route_index(na, p))
+
+
+def is_critical(p: float, p_star: float) -> bool:
+    """p is the threshold exponent, to 1e-12 relative: the critical cell."""
+    return abs(p - p_star) <= 1e-12 * p_star
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +204,12 @@ def subcritical_escape(
     threshold exponent, so the core lower bound forces the series across the
     cap; the observed crossing time is recorded, never asserted a priori.
     """
-    params = critical_parameters(spec.dimension, spec.alpha, p)
-    if p >= params.p_star:
-        raise ValueError(
-            f"subcritical certificate requires p < p* = {params.p_star:g}, got {p}"
-        )
+    p_star = fujita_exponent(spec.mass_exponent)
+    if p >= p_star:
+        raise ValueError(f"subcritical certificate requires p < p* = {p_star:g}, got {p}")
     if np.any(u0.values < 0.0) or u0.sup() == 0.0:
         raise ValueError("need nonnegative, nonzero initial data")
-    margin = 1.0 / (p - 1.0) - 0.5 * (spec.dimension + spec.alpha)
+    margin = 1.0 / (p - 1.0) - 0.5 * spec.mass_exponent
     if times is None:
         top = min(suite.grid.radius**2 / 36.0, 256.0)
         times = [top * 2.0 ** (-k) for k in range(11)][::-1]
@@ -249,11 +252,10 @@ def critical_log_growth(
     and regresses I against log t; a positive slope is the logarithmic-growth
     certificate.
     """
-    spec = suite.spec
-    params = critical_parameters(spec.dimension, spec.alpha, cfg.p)
-    if abs(cfg.p - params.p_star) > 1e-12 * params.p_star:
+    p_star = fujita_exponent(suite.spec.mass_exponent)
+    if not is_critical(cfg.p, p_star):
         raise ValueError(
-            f"log-growth certificate requires p = p* = {params.p_star!r} exactly, got {cfg.p!r}"
+            f"log-growth certificate requires p = p* = {p_star!r} exactly, got {cfg.p!r}"
         )
     if u0.sup() == 0.0:
         raise ValueError("the core integral is vacuous for zero data")
@@ -321,12 +323,11 @@ def classify(
     p > p*: gate on the smallness level and run the global small-data route;
     every failure mode is an outcome, never an exception.
     """
-    params = critical_parameters(spec.dimension, spec.alpha, p)
+    p_star = fujita_exponent(spec.mass_exponent)
     alpha = spec.alpha
-    critical = abs(p - params.p_star) <= 1e-12 * params.p_star
 
-    if critical:
-        fit = critical_log_growth(u0, suite, replace(cfg, p=params.p_star))
+    if is_critical(p, p_star):
+        fit = critical_log_growth(u0, suite, replace(cfg, p=p_star))
         if not fit.conclusive:
             return CellOutcome(p=p, alpha=alpha, kind="inconclusive", reason=fit.inconclusive_reason,
                                escape_time=fit.threshold_escape)
@@ -339,7 +340,7 @@ def classify(
                            reason=f"core-mass log slope {fit.slope:g} not positive",
                            log_slope=fit.slope)
 
-    if p < params.p_star:
+    if p < p_star:
         ladder = [cfg.ladder_t0 * 2.0**k for k in range(11) if cfg.ladder_t0 * 2.0**k <= cfg.horizon]
         evidence = subcritical_escape(u0, p, spec, suite, times=ladder)
         run = picard_iterate(u0, replace(cfg, p=p), suite)
@@ -355,8 +356,9 @@ def classify(
                            kaplan_crossing=evidence.crossing_time)
 
     # supercritical: small data decay globally
+    r_star = route_index(spec.mass_exponent, p)
     try:
-        run = solve_global_small(u0, p, params.r_star, suite, replace(cfg, p=p), u0_fn=u0_fn)
+        run = solve_global_small(u0, p, r_star, suite, replace(cfg, p=p), u0_fn=u0_fn)
     except SmallnessError as exc:
         return CellOutcome(p=p, alpha=alpha, kind="inconclusive",
                            reason=f"smallness unmet: {exc.measured}")
@@ -385,7 +387,7 @@ class DichotomyReport:
                 raise ValueError("escape times must be positive when present")
 
     def p_star_curve(self) -> list[tuple[float, float]]:
-        return [(a, 1.0 + 2.0 / (self.n + a)) for a in self.alpha_values]
+        return [(a, fujita_exponent(self.n + a)) for a in self.alpha_values]
 
 
 def run_cell(
@@ -404,8 +406,8 @@ def run_cell(
     approaches its decay rate through a slow algebraic transient, so the
     slope needs more octaves than escape detection does.
     """
-    params = critical_parameters(spec.dimension, spec.alpha, p)
-    if p <= params.p_star * (1.0 + 1e-12):
+    p_star = fujita_exponent(spec.mass_exponent)
+    if p < p_star or is_critical(p, p_star):
         return classify(spec, p, sub_u0, cfg, suite)
 
     def profile(delta: float):
@@ -414,7 +416,8 @@ def run_cell(
 
     try:
         delta, grun = calibrate_delta(
-            profile, p, params.r_star, suite, replace(cfg, horizon=super_horizon), delta0
+            profile, p, route_index(spec.mass_exponent, p), suite,
+            replace(cfg, horizon=super_horizon), delta0,
         )
     except RuntimeError as exc:
         return CellOutcome(p=p, alpha=spec.alpha, kind="inconclusive", reason=str(exc))
@@ -456,10 +459,11 @@ def sweep_dichotomy(
 
 
 def fmt(x: float | None) -> str:
-    """17 significant digits, '.' decimal point; empty for a missing value."""
+    """A CSV cell: the float format of every output (``g17``), empty for a
+    missing value (None or nan)."""
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return ""
-    return f"{x:.17g}"
+    return g17(x)
 
 
 def dichotomy_csv_lines(report: DichotomyReport) -> list[str]:
@@ -511,7 +515,7 @@ def dichotomy_svg(report: DichotomyReport, width: int = 640, height: int = 480) 
         a_lo, a_hi = (als[0], als[-1]) if len(als) > 1 else (als[0] - 0.5, als[0] + 0.5)
         for k in range(samples + 1):
             a = a_lo + (a_hi - a_lo) * k / samples
-            pstar = 1.0 + 2.0 / (report.n + a)
+            pstar = fujita_exponent(report.n + a)
             if p_lo <= pstar <= p_hi:
                 fx = pad + (pstar - p_lo) / (p_hi - p_lo) * (width - 2 * pad)
                 fy = height - pad - ((a - a_lo) / max(a_hi - a_lo, 1e-12) + 0.5 / max(len(als), 1)) * (

@@ -35,7 +35,7 @@ from .lorentz import (
     inequality_suite,
 )
 from .profiles import build_initial_data
-from .weights import GridFunction, fit_ball_constants
+from .weights import GridFunction, fit_ball_constants, route_index
 
 NUMERIC_FAILURES = (
     KernelInvariantError,
@@ -162,10 +162,8 @@ def cmd_lorentz_selftest(cfg: ExperimentConfig, out: Path, seed: int) -> int:
 
 def cmd_evolve(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     suite = cfg.suite(cfg.exponent)
-    spec = suite.spec
     u0, _ = build_initial_data(suite.grid, cfg.u0_descriptor)
-    na = spec.dimension + spec.alpha
-    r_star = 0.5 * na * (cfg.evolve.p - 1.0)
+    r_star = route_index(suite.spec.mass_exponent, cfg.evolve.p)
     qs = cfg.evolve.record_q or (
         tuple(q for q in (r_star, 2.0 * r_star) if q > 1.0) or (2.0,)
     )

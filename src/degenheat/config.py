@@ -16,6 +16,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .constants import g17
 from .evolve import EvolveConfig
 from .kernel import KernelSuite, _verification_times
 from .profiles import build_initial_data
@@ -46,6 +47,7 @@ class ExperimentConfig:
         self.lines = lines
         self.evolve = _EVOLVE
         self._grids: dict[float, Grid] = {}
+        self._suites: dict[float, KernelSuite] = {}
 
     def grid(self, alpha: float) -> Grid:
         """The configured grid for weight exponent alpha, built once."""
@@ -55,9 +57,11 @@ class ExperimentConfig:
         return self._grids[alpha]
 
     def suite(self, alpha: float) -> KernelSuite:
-        """The kernel suite on the configured grid for weight exponent alpha."""
-        grid = self.grid(alpha)
-        return KernelSuite(grid.spec, grid, self.kernel_steps, self.kernel_cache_dir)
+        """The kernel suite on the configured grid for weight exponent alpha, built once."""
+        if alpha not in self._suites:
+            grid = self.grid(alpha)
+            self._suites[alpha] = KernelSuite(grid.spec, grid, self.kernel_steps, self.kernel_cache_dir)
+        return self._suites[alpha]
 
     def manifest_lines(self) -> list[str]:
         keys = sorted(_KEYS, key=attrgetter("name"))
@@ -110,9 +114,9 @@ def _positive(value: float, cfg: ExperimentConfig) -> None:
 
 def _grids(alphas: tuple[float, ...], cfg: ExperimentConfig) -> None:
     """Each exponent lies in the range of the case (a < 1, or b < n: checked
-    by WeightSpec) and its grid can be built."""
+    by WeightSpec), and its grid and the solver mesh on it can be built."""
     for a in alphas:
-        cfg.grid(a)
+        cfg.suite(a)
 
 
 def _sweep_p(ps: tuple[float, ...], cfg: ExperimentConfig) -> None:
@@ -138,11 +142,8 @@ def _initial_data(descriptor: str, cfg: ExperimentConfig) -> None:
         raise ValueError("initial data must be nonnegative")
 
 
-_g17 = "{:.17g}".format
-
-
 def _g17s(xs: tuple[float, ...]) -> str:
-    return ",".join(map(_g17, xs))
+    return ",".join(map(g17, xs))
 
 
 @dataclass(frozen=True)
@@ -160,14 +161,14 @@ class _Key:
     default: Any
     parse: Callable[[str], Any]
     check: Callable[[Any, ExperimentConfig], None] | None = None
-    show: Callable[[Any], str] = _g17
+    show: Callable[[Any], str] = g17
 
 
 # The evolve.* defaults are EvolveConfig's own; the config's p is 2.
 _EVOLVE = EvolveConfig(p=2.0)
 
 
-def _evolve(field: str, parse: Callable[[str], Any], show: Callable[[Any], str] = _g17) -> _Key:
+def _evolve(field: str, parse: Callable[[str], Any], show: Callable[[Any], str] = g17) -> _Key:
     return _Key("evolve." + field, "evolve." + field, getattr(_EVOLVE, field), parse, show=show)
 
 
@@ -178,13 +179,13 @@ _KEYS = (
     _Key("grid.radius", "grid_radius", 32.0, _float),
     _Key("grid.cells", "grid_cells", 256, _int, show=str),
     _Key("grid.grading", "grid_grading", 2.0, _float),
-    _Key("weight.exponent", "exponent", 0.5, _float, lambda a, cfg: _grids((a,), cfg)),
-    _Key("kernel.times", "kernel_times", (0.25, 0.5, 1.0, 2.0, 4.0), _floats, _kernel_times, _g17s),
     _Key("kernel.steps", "kernel_steps", 256, _int, _positive, str),
     _Key(
         "kernel.cache_dir", "kernel_cache_dir", None, lambda text: text or None,
         show=lambda d: d or "",
     ),
+    _Key("weight.exponent", "exponent", 0.5, _float, lambda a, cfg: _grids((a,), cfg)),
+    _Key("kernel.times", "kernel_times", (0.25, 0.5, 1.0, 2.0, 4.0), _floats, _kernel_times, _g17s),
     _evolve("p", _float),
     _evolve("horizon", _float),
     _evolve("ladder_t0", _float),
@@ -192,7 +193,7 @@ _KEYS = (
     _evolve("max_picard", _int, str),
     _evolve(
         "blowup_threshold", lambda text: _float(text) if text else None,
-        lambda t: "" if t is None else _g17(t),
+        lambda t: "" if t is None else g17(t),
     ),
     _evolve("duhamel_steps", _int, str),
     _evolve("substeps", _int, str),

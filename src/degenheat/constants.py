@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+# The one float format of every output: 17 significant digits read back to the
+# same double, '.' decimal point, no locale; nan and inf print as words.
+g17 = "{:.17g}".format
+
 
 @dataclass
 class FittedConstants:
@@ -35,5 +39,5 @@ class FittedConstants:
         for f in fields(self):
             v = getattr(self, f.name)
             if v is not None:
-                out.append(f"constants.{f.name} = {v:.17g}")
+                out.append(f"constants.{f.name} = {g17(v)}")
         return out

@@ -31,9 +31,9 @@ from typing import Callable
 import numpy as np
 
 from .constants import FittedConstants
-from .kernel import KernelSuite, _implicit_step
+from .kernel import KernelSuite, _implicit_step, loglog_slope
 from .lorentz import INF, LorentzIndex, lorentz_norm, weighted_lp_norm
-from .weights import GridFunction
+from .weights import GridFunction, route_index
 
 __all__ = [
     "EvolveConfig",
@@ -393,8 +393,7 @@ def last_quarter_slope(times: np.ndarray, values: np.ndarray) -> float:
     if int(np.sum(mask)) < 3:
         mask = np.zeros(ts.size, dtype=bool)
         mask[-3:] = True
-    sl = np.polyfit(np.log(ts[mask]), np.log(vs[mask]), 1)[0]
-    return float(sl)
+    return loglog_slope(ts[mask], vs[mask])[0]
 
 
 def solve_global_small(
@@ -412,14 +411,15 @@ def solve_global_small(
     sup norm (the strong-route normalization), evolves, and maps the records
     back through the scaling.
     """
-    spec = suite.spec
-    na = spec.dimension + spec.alpha
-    r_star = 0.5 * na * (p - 1.0)
+    na = suite.spec.mass_exponent
+    r_star = route_index(na, p)
     if not r_star > 1.0:
         raise ValueError(f"global route needs p above the threshold exponent (r* = {r_star:g} <= 1)")
     if not 1.0 <= r <= r_star:
         raise ValueError(f"route index must satisfy 1 <= r <= r* = {r_star:g}, got {r}")
 
+    # the scaling u_lam(x, t) = lam^beta u(lam x, lam^2 t) maps solutions to solutions
+    beta = na / r_star
     weak_norm = lorentz_norm(u0, LorentzIndex(r_star, INF))
     sup0 = u0.sup()
     lam = 1.0
@@ -442,13 +442,8 @@ def solve_global_small(
                 f"strong-route smallness unmet: measured {measured:g} >= delta {cfg.smallness_delta:g}",
                 {"strong_r": strong0, "sup": sup0, "product": measured},
             )
-        lam = _balance_rescale(u0, r, na, r_star, u0_fn)
-        beta = na / r_star
-        grid = u0.grid
-        if u0_fn is not None:
-            data = grid.function(lam**beta * np.asarray(u0_fn(lam * grid.nodes), dtype=float))
-        else:
-            data = grid.function(lam**beta * np.interp(lam * grid.nodes, grid.nodes, u0.values, right=0.0))
+        lam = _balance_rescale(u0, r, beta, u0_fn)
+        data = _rescaled(u0, lam, beta, u0_fn)
         qs = sorted({r, 2.0 * r, r_star, INF} | set(cfg.record_q))
         kind = "strong"
         base = r
@@ -457,8 +452,7 @@ def solve_global_small(
     run = picard_iterate(data, run_cfg, suite)
     traj = run.trajectory
 
-    # map the records back through u(x,t) = lam^{-beta} u_lam(x/lam, t/lam^2)
-    beta = na / r_star
+    # map the records back through the scaling
     times = traj.times * lam**2
     sup = traj.sup * lam ** (-beta)
     series: dict[tuple[float, str], np.ndarray] = {(INF, "sup"): sup}
@@ -472,13 +466,8 @@ def solve_global_small(
     functionals: dict[tuple[float, str], np.ndarray] = {}
     slopes: dict[tuple[float, str], float] = {}
     for q in qs:
-        expo = 0.5 * na * (1.0 / base - (0.0 if q == INF else 1.0 / q))
-        if q == INF:
-            vals = (1.0 + times) ** expo * sup
-            key = (INF, kind)
-        else:
-            vals = (1.0 + times) ** expo * series[(q, kind)]
-            key = (q, kind)
+        key = (q, kind)
+        vals = (1.0 + times) ** -suite.spec.smoothing_rate(base, q) * (sup if q == INF else series[key])
         functionals[key] = vals
         if np.all(vals == 0.0):  # trivial data: identically zero is flat
             slopes[key] = 0.0
@@ -504,37 +493,43 @@ def solve_global_small(
     )
 
 
+def _rescaled(
+    u0: GridFunction,
+    lam: float,
+    beta: float,
+    u0_fn: Callable[[np.ndarray], np.ndarray] | None,
+) -> GridFunction:
+    """u_lam(x) = lam^beta u0(lam x), from the analytic datum when there is
+    one, else by linear interpolation of the nodal values (0 past the grid)."""
+    grid = u0.grid
+    if u0_fn is not None:
+        vals = np.asarray(u0_fn(lam * grid.nodes), dtype=float)
+    else:
+        vals = np.interp(lam * grid.nodes, grid.nodes, u0.values, right=0.0)
+    return grid.function(lam**beta * vals)
+
+
 def _balance_rescale(
     u0: GridFunction,
     r: float,
-    na: float,
-    r_star: float,
+    beta: float,
     u0_fn: Callable[[np.ndarray], np.ndarray] | None,
 ) -> float:
     """Bisection on lambda until ||u0_lam||_{L^r(w)} = ||u0_lam||_inf (1e-6 rel)."""
-    grid = u0.grid
-    beta = na / r_star
 
-    def scaled(lam: float) -> GridFunction:
-        if u0_fn is not None:
-            vals = np.asarray(u0_fn(lam * grid.nodes), dtype=float)
-        else:
-            vals = np.interp(lam * grid.nodes, grid.nodes, u0.values, right=0.0)
-        return grid.function(lam**beta * vals)
-
-    def gap(lam: float) -> float:
-        f = scaled(lam)
-        return weighted_lp_norm(f, r) - f.sup()
+    def gap(lam: float) -> tuple[float, float]:
+        f = _rescaled(u0, lam, beta, u0_fn)
+        sup = f.sup()
+        return weighted_lp_norm(f, r) - sup, sup
 
     # ratio ||.||_r / ||.||_inf is strictly decreasing in lambda for r < r*
     lo, hi = 1e-6, 1e6
-    if gap(lo) < 0.0 or gap(hi) > 0.0:
+    if gap(lo)[0] < 0.0 or gap(hi)[0] > 0.0:
         raise ValueError("could not bracket the norm-balancing rescale factor")
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        f = scaled(mid)
-        g = weighted_lp_norm(f, r) - f.sup()
-        if abs(g) <= 1e-6 * max(f.sup(), 1e-300):
+        g, sup = gap(mid)
+        if abs(g) <= 1e-6 * max(sup, 1e-300):
             return mid
         if g > 0.0:
             lo = mid

@@ -54,8 +54,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpttrf, dpttrs, dstemr
 
-from .lorentz import INF, LorentzIndex, StepFunction, lorentz_norm
-from .weights import Grid, WeightCase, WeightSpec, _ball_masses
+from .lorentz import INF, LorentzIndex, StepFunction, lorentz_norm, weighted_lp_norm
+from .weights import Grid, GridError, WeightCase, WeightSpec, _ball_masses
 
 __all__ = [
     "SolverMesh",
@@ -135,8 +135,16 @@ def solver_mesh(grid: Grid) -> SolverMesh:
             cond[i] = 1.0 / inv
     upper = np.zeros(points.size)
     lower = np.zeros(points.size)
-    upper[:-1] = cond / masses[:-1]
-    lower[1:] = cond / masses[1:]
+    # on a steep grading the cells at the singular point are so small that
+    # the rates, or their products in the symmetric form, overflow; the rates
+    # are positive, so an infinite one makes its product infinite too
+    with np.errstate(over="ignore"):
+        upper[:-1] = cond / masses[:-1]
+        lower[1:] = cond / masses[1:]
+        coupling = upper[:-1] * lower[1:]
+    if not np.all(np.isfinite(coupling)):
+        raise GridError("grading", f"radius {grid.radius:g} with grading {grid.grading:g} on "
+                        f"{nodes.size - 1} cells makes the generator's rates overflow")
     return SolverMesh(points=points, masses=masses, lower=lower, upper=upper, center=center)
 
 
@@ -249,11 +257,11 @@ def build_kernel(spec: WeightSpec, grid: Grid, t: float, steps: int) -> KernelTa
 
 def _min_branch(spec: WeightSpec, coord: float, t: float) -> float:
     """min(t^{-n/4} |z|^{-alpha/2}, t^{-(n+alpha)/4}) with the 0-center limit."""
-    n, a = spec.dimension, spec.alpha
-    flat = t ** (-(n + a) / 4.0)
+    a = spec.alpha
+    flat = t ** (-spec.mass_exponent / 4.0)
     if coord == 0.0 or a == 0.0:
         return flat
-    return min(t ** (-n / 4.0) * coord ** (-a / 2.0), flat)
+    return min(t ** (-spec.dimension / 4.0) * coord ** (-a / 2.0), flat)
 
 
 def kernel_bounds(
@@ -280,8 +288,7 @@ def kernel_bounds(
     else:
         cx, cy = float(np.linalg.norm(xv)), float(np.linalg.norm(yv))
     lower = d * _min_branch(spec, cx, t) * _min_branch(spec, cy, t) * math.exp(-dist2 / (d * t))
-    n, a = spec.dimension, spec.alpha
-    upper = big_d * t ** (-(n + a) / 2.0) * math.exp(-dist2 / (big_d * t))
+    upper = big_d * t ** spec.smoothing_rate(1.0, INF) * math.exp(-dist2 / (big_d * t))
     return lower, upper
 
 
@@ -366,7 +373,7 @@ def _table_thresholds(tb: KernelTable, kind: str) -> tuple[np.ndarray, np.ndarra
     vals = tb.matrix[rows, cols]
     if kind == "minbranch":
         mb = np.array([_min_branch(tb.spec, abs(p), tb.t) for p in tb.points])
-        pref_up = tb.t ** (-(tb.spec.dimension + tb.spec.alpha) / 2.0)
+        pref_up = tb.t ** tb.spec.smoothing_rate(1.0, INF)
         pref_low = mb[rows] * mb[cols]
     else:
         wb = _ball_masses(tb.spec, tb.points, math.sqrt(tb.t))
@@ -417,26 +424,37 @@ def fit_envelope_constants(
 # ---------------------------------------------------------------------------
 
 
+def loglog_slope(ts: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    lx = np.log(np.asarray(ts, dtype=float))
+    ly = np.log(np.asarray(ys, dtype=float))
+    slope, intercept = np.polyfit(lx, ly, 1)
+    return float(slope), float(intercept)
+
+
 @dataclass(frozen=True)
 class SlopeFit:
+    """Log-log regression of an L^r-type norm against time, beside the slope
+    the L^q -> L^r smoothing rate predicts for it."""
+
     label: str
+    q: float
     r: float
     slope: float
     intercept: float
     predicted: float
+    times: tuple[float, ...]
+    norms: tuple[float, ...]
+
+    @classmethod
+    def regress(cls, label: str, spec: WeightSpec, q: float, r: float, times, norms) -> "SlopeFit":
+        slope, intercept = loglog_slope(np.array(times), np.array(norms))
+        return cls(label, q, r, slope, intercept, spec.smoothing_rate(q, r), tuple(times), tuple(norms))
 
     @property
     def relative_error(self) -> float:
         if self.predicted == 0.0:
             return abs(self.slope)
         return abs(self.slope - self.predicted) / abs(self.predicted)
-
-
-def loglog_slope(ts: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    lx = np.log(np.asarray(ts, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    return float(slope), float(intercept)
 
 
 @dataclass(frozen=True)
@@ -514,20 +532,14 @@ def verify_kernel(
             failures.append(str(exc))
             fits[kind] = EnvelopeFit(math.nan, math.nan, 0.0, 0.0, 0)
 
-    n, a = spec.dimension, spec.alpha
-    center = tables[0].size // 2 if spec.case is WeightCase.AXIS_POWER else 0
+    rows = [tb.row_step_function(suite.mesh.center) for tb in tables]
     slopes: list[SlopeFit] = []
     for r in _SLOPE_RS:
-        predicted = -(n + a) / 2.0 * (1.0 - (0.0 if r == INF else 1.0 / r))
-        strong = [
-            _row_norm(tb, center, r) for tb in tables
-        ]
-        s, b = loglog_slope(np.array(times), np.array(strong))
-        slopes.append(SlopeFit(f"row_strong_r={r:g}", r, s, b, predicted))
+        strong = [weighted_lp_norm(row, r) for row in rows]
+        slopes.append(SlopeFit.regress(f"row_strong_r={r:g}", spec, 1.0, r, times, strong))
         if r != INF:
-            weak1 = [lorentz_norm(tb.row_step_function(center), LorentzIndex(r, 1.0)) for tb in tables]
-            s1, b1 = loglog_slope(np.array(times), np.array(weak1))
-            slopes.append(SlopeFit(f"row_lorentz1_r={r:g}", r, s1, b1, predicted))
+            weak1 = [lorentz_norm(row, LorentzIndex(r, 1.0)) for row in rows]
+            slopes.append(SlopeFit.regress(f"row_lorentz1_r={r:g}", spec, 1.0, r, times, weak1))
 
     return KernelVerification(
         times=tuple(times),
@@ -538,13 +550,6 @@ def verify_kernel(
         norm_slopes=tuple(slopes),
         failures=tuple(failures),
     )
-
-
-def _row_norm(tb: KernelTable, i: int, r: float) -> float:
-    row = tb.matrix[i]
-    if r == INF:
-        return float(np.max(row))
-    return float(np.sum(tb.masses * row**r) ** (1.0 / r))
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import FittedConstants
-from .kernel import KernelSuite, KernelTable, loglog_slope
+from .kernel import KernelSuite, KernelTable, SlopeFit
 from .lorentz import INF, LorentzIndex, lorentz_norm, weighted_lp_norm
 from .weights import GridFunction
 
 __all__ = [
     "apply_semigroup",
-    "DecayFit",
     "decay_rates",
     "HeatCoreBound",
     "heat_core_lower",
@@ -38,9 +37,8 @@ def weak_critical_probe(grid, q: float) -> GridFunction:
     cell there carries negligible mass, an honest cap would otherwise plant
     a spurious point mass.
     """
-    na = grid.spec.dimension + grid.spec.alpha
     with np.errstate(divide="ignore"):
-        vals = np.abs(grid.nodes) ** (-na / q)
+        vals = np.abs(grid.nodes) ** (-grid.spec.mass_exponent / q)
     vals[0] = vals[1]
     return grid.function(vals)
 
@@ -63,24 +61,6 @@ def evolved_norm(table: KernelTable, phi: GridFunction, q: float, kind: str) -> 
     raise ValueError(f"norm kind must be 'strong' or 'weak', got {kind!r}")
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    q: float
-    r: float
-    kind: str
-    slope: float
-    intercept: float
-    predicted: float
-    times: tuple[float, ...]
-    norms: tuple[float, ...]
-
-    @property
-    def relative_error(self) -> float:
-        if self.predicted == 0.0:
-            return abs(self.slope)
-        return abs(self.slope - self.predicted) / abs(self.predicted)
-
-
 def decay_rates(
     suite: KernelSuite,
     phi: GridFunction,
@@ -88,13 +68,13 @@ def decay_rates(
     q: float,
     r: float,
     kind: str = "strong",
-) -> DecayFit:
+) -> SlopeFit:
     """Log-log regression of the r-norm of S(t)phi against t.
 
     ``q`` indexes the data norm the smoothing estimate starts from, which
-    fixes the predicted slope -(n+alpha)/2 * (1/q - 1/r).  Weak-norm
-    regressions reject q = 1: the weak-type smoothing constant diverges as
-    q -> 1, so no rate is claimed at that endpoint.
+    fixes the predicted slope, the smoothing rate -(n+alpha)/2 * (1/q - 1/r).
+    Weak-norm regressions reject q = 1: the weak-type smoothing constant
+    diverges as q -> 1, so no rate is claimed at that endpoint.
     """
     if kind not in ("strong", "weak"):
         raise ValueError(f"norm kind must be 'strong' or 'weak', got {kind!r}")
@@ -107,17 +87,9 @@ def decay_rates(
         raise ValueError(f"data exponent q must lie in [1, inf], got {q}")
     if len(times) < 3:
         raise ValueError("need at least 3 times to regress a slope")
-    spec = suite.spec
-    pred = -(spec.dimension + spec.alpha) / 2.0 * (
-        (0.0 if q == INF else 1.0 / q) - (0.0 if r == INF else 1.0 / r)
-    )
     ts = sorted(float(t) for t in times)
     norms = [evolved_norm(suite.table(t), phi, r, kind) for t in ts]
-    slope, intercept = loglog_slope(np.array(ts), np.array(norms))
-    return DecayFit(
-        q=q, r=r, kind=kind, slope=slope, intercept=intercept, predicted=pred,
-        times=tuple(ts), norms=tuple(norms),
-    )
+    return SlopeFit.regress(f"{kind}_q={q:g}_r={r:g}", suite.spec, q, r, ts, norms)
 
 
 @dataclass(frozen=True)
@@ -144,9 +116,8 @@ def heat_core_lower(suite: KernelSuite, phi: GridFunction, t: float) -> HeatCore
     mass = float(np.sum(phi.values[core] * grid.measures[core]))
     if mass <= 0.0:
         return HeatCoreBound(t=t, empirical_coef=math.nan, core_mass=0.0, skipped=True)
-    spec = suite.spec
     out = suite.restrict(suite.propagate(suite.extend(phi.values), t, 128))
-    floor = t ** (-(spec.dimension + spec.alpha) / 2.0) * mass
+    floor = t ** suite.spec.smoothing_rate(1.0, INF) * mass
     coef = float(np.min(out[core]) / floor)
     return HeatCoreBound(t=t, empirical_coef=coef, core_mass=mass)
 
@@ -166,8 +137,6 @@ def fit_smoothing_constants(
     The local-horizon rule uses the max of the two.
     """
     rec = constants if constants is not None else FittedConstants()
-    spec = suite.spec
-    na2 = (spec.dimension + spec.alpha) / 2.0
     strong = 0.0
     weak = 0.0
     qs = [r_star, 2.0 * r_star, INF]
@@ -181,7 +150,7 @@ def fit_smoothing_constants(
                 strong = max(strong, out.sup() / sup0)
             if weak0 > 0.0:
                 for q in qs:
-                    expo = na2 * (1.0 / r_star - (0.0 if q == INF else 1.0 / q))
+                    expo = -suite.spec.smoothing_rate(r_star, q)
                     val = lorentz_norm(out, LorentzIndex(q, INF)) if q != INF else out.sup()
                     weak = max(weak, t**expo * val / weak0)
     rec.strong_smoothing_coef = strong

@@ -37,6 +37,8 @@ __all__ = [
     "ball_mass_bounds",
     "fit_ball_constants",
     "make_grid",
+    "fujita_exponent",
+    "route_index",
 ]
 
 
@@ -83,8 +85,15 @@ class WeightSpec:
 
     @property
     def mass_exponent(self) -> float:
-        """Ball masses centered at 0 scale like r**mass_exponent = r**(n+alpha)."""
+        """The homogeneous dimension n + alpha: ball masses centered at 0 scale
+        like r**(n+alpha), and every exponent of the dichotomy is a function of it."""
         return self.dimension + self.alpha
+
+    def smoothing_rate(self, q: float, r: float) -> float:
+        """Exponent of t in the L^q -> L^r smoothing bound of the semigroup,
+        -(n+alpha)/2 (1/q - 1/r), with 1/inf = 0.  At q = 1, r = inf it is the
+        on-diagonal decay t^{-(n+alpha)/2} of the kernel."""
+        return -(0.5 * self.mass_exponent * (1.0 / q - 1.0 / r))
 
     # --- reduced 1-D weight on the half-line ------------------------------
     # axis:   m(x) = x^a                       (transverse dims handled elsewhere)
@@ -102,7 +111,7 @@ class WeightSpec:
         if self.case is WeightCase.AXIS_POWER:
             q = self.exponent + 1.0
             return x ** q / q
-        q = self.dimension + self.exponent
+        q = self.mass_exponent
         return unit_sphere_area(self.dimension) * x ** q / q
 
     @property
@@ -133,6 +142,18 @@ class WeightSpec:
         if abs(kappa) < 1e-14:
             return math.log(hi / lo) / scale
         return (hi**kappa - lo**kappa) / (kappa * scale)
+
+
+def fujita_exponent(mass_exponent: float) -> float:
+    """The threshold p* = 1 + 2/(n+alpha): every positive solution blows up for
+    p <= p*, small data stay global above it (Fujita's 1 + 2/n at alpha = 0)."""
+    return 1.0 + 2.0 / mass_exponent
+
+
+def route_index(mass_exponent: float, p: float) -> float:
+    """The route index r* = (n+alpha)(p-1)/2, whose norm the scaling of the
+    equation leaves invariant; it exceeds 1 exactly when p > p*."""
+    return 0.5 * mass_exponent * (p - 1.0)
 
 
 def weight_at(spec: WeightSpec, point: Sequence[float]) -> float:
@@ -295,15 +316,16 @@ def _ball_masses(spec: WeightSpec, centers: np.ndarray | float, radii: np.ndarra
     _check_radii(r)
     n = spec.dimension
     a = spec.exponent
+    na = spec.mass_exponent
     at0 = c == 0.0
 
     if spec.case is WeightCase.AXIS_POWER:
         if n == 1:
             return _signed_interval_mass(a, c, r).reshape(shape)
-        out = unit_ball_volume(n - 1) * special.beta((a + 1.0) / 2.0, (n + 1.0) / 2.0) * r ** (n + a)
+        out = unit_ball_volume(n - 1) * special.beta((a + 1.0) / 2.0, (n + 1.0) / 2.0) * r**na
         rule = _axis_rule
     else:
-        out = unit_sphere_area(n) / (n + a) * r ** (n + a)
+        out = unit_sphere_area(n) / na * r**na
         if n == 1:
             return np.where(at0, out, _signed_interval_mass(a, c, r)).reshape(shape)
         rule = _radial_rule
@@ -344,14 +366,12 @@ def ball_mass_bounds(
     """
     _check_radii(r)
     low_c, up_c = constants
-    n = spec.dimension
-    a = spec.exponent
     c = _reduced_center(spec, center)
     coord = "|x1|" if spec.case is WeightCase.AXIS_POWER else "|x|"
-    lower = low_c * r ** (n + a)
+    lower = low_c * r**spec.mass_exponent
     if r >= c:
-        return BallEnvelope(lower, up_c * r ** (n + a), f"r >= {coord}")
-    return BallEnvelope(lower, up_c * r**n * c**a, f"r <= {coord}")
+        return BallEnvelope(lower, up_c * r**spec.mass_exponent, f"r >= {coord}")
+    return BallEnvelope(lower, up_c * r**spec.dimension * c**spec.exponent, f"r <= {coord}")
 
 
 @dataclass(frozen=True)
@@ -377,8 +397,6 @@ def fit_ball_constants(
     ratios and envelope ordering holds on the sample by construction.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    n = spec.dimension
-    a = spec.exponent
     lo_r, hi_r = radius_range
     draws = [
         (center_scale * abs(rng.standard_normal()), math.exp(rng.uniform(math.log(lo_r), math.log(hi_r))))
@@ -386,9 +404,10 @@ def fit_ball_constants(
     ]
     c, r = np.array(draws, dtype=float).reshape(-1, 2).T
     mass = _ball_masses(spec, c, r)
-    shape = np.where(r >= c, r ** (n + a), r**n * c**a)
+    flat = r**spec.mass_exponent
+    shape = np.where(r >= c, flat, r**spec.dimension * c**spec.exponent)
     return BallFit(
-        lower_coef=float(np.min(mass / r ** (n + a), initial=math.inf)),
+        lower_coef=float(np.min(mass / flat, initial=math.inf)),
         upper_coef=float(np.max(mass / shape, initial=0.0)),
         sample_count=n_samples,
     )
@@ -473,13 +492,15 @@ def make_grid(spec: WeightSpec, radius: float, cells: int, grading: float = 2.0)
     bounds = np.empty(cells + 2, dtype=float)
     bounds[0] = 0.0
     bounds[-1] = radius
-    bounds[1:-1] = 0.5 * (nodes[:-1] + nodes[1:])
-    prim = np.asarray(spec.reduced_primitive(bounds))
-    cell_mass = np.diff(prim)
-    try:
-        return Grid(spec, float(radius), float(grading), nodes, bounds, cell_mass)
-    except ValueError as exc:  # the float range cannot hold cells this small
-        raise GridError("radius", f"radius {radius:g} with grading {grading:g}: {exc}") from exc
+    # near the top of the float range the midpoints and masses overflow; Grid
+    # then refuses the bounds or the masses, and the radius is blamed
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds[1:-1] = 0.5 * (nodes[:-1] + nodes[1:])
+        cell_mass = np.diff(np.asarray(spec.reduced_primitive(bounds)))
+        try:
+            return Grid(spec, float(radius), float(grading), nodes, bounds, cell_mass)
+        except ValueError as exc:  # the float range cannot hold these cells
+            raise GridError("radius", f"radius {radius:g} with grading {grading:g}: {exc}") from exc
 
 
 @dataclass(frozen=True)

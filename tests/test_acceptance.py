@@ -331,8 +331,21 @@ def test_c09_stability(evolve_suite):
     )
 
 
+# sweep.csv of the production sweep, byte for byte (SHA-256 ca5322a1...)
+PRODUCTION_SWEEP_CSV = """\
+p,alpha,outcome,escape_time,decay_slope,log_slope,kaplan_crossing,reason
+1.5,0.5,blowup,8,,,,
+2,0.5,blowup,69.792494890576492,,,,
+2.3333333333333335,0.5,blowup,,,0.01521793632053263,,
+3,0.5,global,,-0.46853851289084369,,,
+# note: blow-up cells certify nonexistence for the tested data only; \
+nonexistence for all positive data is a continuum statement beyond any single run
+"""
+
+
 def test_c10_determinism(tmp_path):
-    """Identical config and seed produce byte-identical sweep CSVs."""
+    """Identical config and seed produce byte-identical sweep CSVs, equal to
+    the pinned production sweep."""
     cfg_text = "\n".join(
         [
             "weight.case = axis",
@@ -360,7 +373,8 @@ def test_c10_determinism(tmp_path):
         body = (out / "sweep.csv").read_text()
         assert body.count("blowup") == 3 and body.count("global") == 1
     assert payloads[0] == payloads[1]
+    assert payloads[0].decode() == PRODUCTION_SWEEP_CSV
     print(
-        "ACCEPTANCE 10 PASS: repeated sweep runs byte-identical "
+        "ACCEPTANCE 10 PASS: repeated sweep runs byte-identical to the pinned sweep "
         f"({len(payloads[0])} bytes)"
     )

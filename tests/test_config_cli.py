@@ -6,6 +6,7 @@ import pytest
 
 from degenheat.cli import main
 from degenheat.config import _KNOWN_KEYS, ConfigError, parse_config_text
+from degenheat.constants import FittedConstants
 from degenheat.profiles import build_initial_data, parse_descriptor
 from degenheat.weights import WeightCase, WeightSpec, make_grid
 
@@ -173,6 +174,11 @@ class TestConfigParsing:
     def test_manifest_lines_golden(self, config, expected):
         assert parse_config_text(config).manifest_lines() == expected
 
+    def test_failed_fit_constant_prints_nan(self):
+        assert FittedConstants(sandwich_lower=math.nan).manifest_lines() == [
+            "constants.sandwich_lower = nan"
+        ]
+
     def test_readme_config_block_lists_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
@@ -260,9 +266,10 @@ class TestCliCommands:
             ("evolve", {"evolve.u0": "bump(0,1,1e308)"}, 1, "FloatingPointError"),
             ("evolve", {"grid.radius": "1e-300"}, 2, "grid.radius"),
             ("evolve", {"grid.grading": "1e308"}, 2, "grid.grading"),
+            ("evolve", {"grid.radius": "1e308"}, 2, "grid.radius"),
             ("sweep", {"sweep.p": "3.0", "sweep.u0": "indicator(0)"}, 2, "sweep.u0"),
-            # builds a grid whose face rates overflow: a numerical failure, not a traceback
-            ("evolve", {"grid.grading": "100"}, 1, "LinAlgError"),
+            # a grid whose face rates overflow is refused at load
+            ("evolve", {"grid.grading": "100"}, 2, "grid.grading"),
         ],
     )
     def test_bad_input_ends_in_a_cited_error(self, tmp_path, capsys, command, overrides, rc, cited):
