@@ -4,11 +4,9 @@ Picard evolution, and the blow-up/global-existence dichotomy at desk scale."""
 
 from .blowup import (
     CellOutcome,
-    CriticalParams,
     DichotomyReport,
     classify,
     critical_log_growth,
-    critical_parameters,
     kaplan_bound_series,
     subcritical_escape,
     sweep_dichotomy,
@@ -19,7 +17,6 @@ from .evolve import (
     GlobalRun,
     Outcome,
     PicardRun,
-    Trajectory,
     picard_iterate,
     solve_global_small,
     solve_local,

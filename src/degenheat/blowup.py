@@ -35,8 +35,6 @@ from .semigroup import heat_core_lower
 from .weights import GridFunction, WeightSpec, fujita_exponent, route_index
 
 __all__ = [
-    "CriticalParams",
-    "critical_parameters",
     "is_critical",
     "log_ak",
     "ak_value",
@@ -59,24 +57,6 @@ REPORT_FOOTER = (
     "note: blow-up cells certify nonexistence for the tested data only; "
     "nonexistence for all positive data is a continuum statement beyond any single run"
 )
-
-
-@dataclass(frozen=True)
-class CriticalParams:
-    p_star: float
-    r_star: float
-
-
-def critical_parameters(n: int, alpha: float, p: float) -> CriticalParams:
-    """Threshold exponent p* = 1 + 2/(n+alpha) and route index r* = (n+alpha)(p-1)/2."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if alpha < 0.0:
-        raise ValueError(f"weight exponent must be nonnegative, got {alpha}")
-    if not p > 1.0:
-        raise ValueError(f"nonlinearity exponent must satisfy p > 1, got {p}")
-    na = n + alpha
-    return CriticalParams(p_star=fujita_exponent(na), r_star=route_index(na, p))
 
 
 def is_critical(p: float, p_star: float) -> bool:
@@ -124,16 +104,11 @@ def kaplan_cstar_log_bound(p: float, terms: int = 60) -> float:
     return (1.0 + math.log(p)) * (partial + tail)
 
 
-# iteration-product coefficients A_2 .. A_30 are tabulated with each series
-_KAPLAN_K_MAX = 30
-
-
 @dataclass(frozen=True)
 class KaplanReport:
     times: np.ndarray
     series: np.ndarray
     cstar_cap: float
-    log_ak_table: dict[int, float]
     below_cap: bool
     crossing_time: float | None
 
@@ -163,12 +138,10 @@ def kaplan_bound_series(
     with np.errstate(over="ignore"):
         series, cap = np.exp(log_series), float(np.exp(log_cap))
     crossing = float(ts[over[0]]) if over.size else None
-    table = {k: log_ak(p, k) for k in range(2, _KAPLAN_K_MAX + 1)}
     return KaplanReport(
         times=ts,
         series=series,
         cstar_cap=cap,
-        log_ak_table=table,
         below_cap=not over.size,
         crossing_time=crossing,
     )
@@ -261,7 +234,7 @@ def critical_log_growth(
         raise ValueError("the core integral is vacuous for zero data")
     run = picard_iterate(u0, cfg, suite)
     grid = u0.grid
-    times = run.trajectory.times
+    times = run.times
     usable = times > _LOG_GROWTH_MIN_TIME
     if int(np.sum(usable)) < 3:
         return LogGrowthFit(
@@ -272,11 +245,9 @@ def critical_log_growth(
             threshold_escape=run.escape_time,
             inconclusive_reason=f"fewer than 3 converged records past t = {_LOG_GROWTH_MIN_TIME:g}",
         )
-    rec_idx = np.flatnonzero(run.masters > 0.0)
     core_vals = []
-    for i in np.flatnonzero(usable):
-        t = times[i]
-        field = suite.restrict(run.fields[rec_idx[i]])
+    for t, f in zip(times[usable], run.fields[1:][usable]):
+        field = suite.restrict(f)
         sel = grid.nodes <= math.sqrt(t)
         core_vals.append(float(np.sum(field[sel] * grid.measures[sel])))
     core = np.array(core_vals)
@@ -342,18 +313,15 @@ def classify(
 
     if p < p_star:
         ladder = [cfg.ladder_t0 * 2.0**k for k in range(11) if cfg.ladder_t0 * 2.0**k <= cfg.horizon]
-        evidence = subcritical_escape(u0, p, spec, suite, times=ladder)
         run = picard_iterate(u0, replace(cfg, p=p), suite)
-        escaped = run.outcome is Outcome.THRESHOLD_EXCEEDED
-        if escaped or evidence.certified:
+        crossing = kaplan_bound_series(u0, p, ladder, suite).crossing_time
+        if run.outcome is Outcome.THRESHOLD_EXCEEDED or crossing is not None:
             return CellOutcome(
                 p=p, alpha=alpha, kind="blowup",
-                escape_time=run.escape_time,
-                kaplan_crossing=evidence.crossing_time,
+                escape_time=run.escape_time, kaplan_crossing=crossing,
             )
         return CellOutcome(p=p, alpha=alpha, kind="inconclusive",
-                           reason="no escape within horizon",
-                           kaplan_crossing=evidence.crossing_time)
+                           reason="no escape within horizon", kaplan_crossing=crossing)
 
     # supercritical: small data decay globally
     r_star = route_index(spec.mass_exponent, p)

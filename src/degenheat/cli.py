@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,7 @@ from .constants import FittedConstants
 from .evolve import (
     LocalBoundError,
     PicardInvariantError,
+    PicardRun,
     SmallnessError,
     picard_iterate,
 )
@@ -62,19 +62,15 @@ def _write_manifest(
     _write(out / "manifest.txt", lines)
 
 
-def _trajectory_csv(times, sup, strong, weak, qs) -> list[str]:
-    header = ["time", "sup_norm"]
+def _trajectory_csv(run: PicardRun, qs) -> list[str]:
+    """One row per recorded time: the sup norm, then the strong and the weak
+    norm of each q."""
+    header, columns = ["time", "sup_norm"], [run.times, run.sup]
     for q in qs:
-        header.append(f"strong_{q:g}")
-        header.append(f"weak_{q:g}")
-    lines = [",".join(header)]
-    for i, t in enumerate(times):
-        row = [fmt(float(t)), fmt(float(sup[i]))]
-        for q in qs:
-            row.append(fmt(float(strong[q][i])))
-            row.append(fmt(float(weak[q][i])))
-        lines.append(",".join(row))
-    return lines
+        for kind in ("strong", "weak"):
+            header.append(f"{kind}_{q:g}")
+            columns.append(run.norm(q, kind))
+    return [",".join(header)] + [",".join(fmt(float(x)) for x in row) for row in zip(*columns)]
 
 
 def cmd_kernel_verify(cfg: ExperimentConfig, out: Path, seed: int) -> int:
@@ -167,16 +163,14 @@ def cmd_evolve(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     qs = cfg.evolve.record_q or (
         tuple(q for q in (r_star, 2.0 * r_star) if q > 1.0) or (2.0,)
     )
-    run_cfg = replace(cfg.evolve, record_q=tuple(qs))
-    run = picard_iterate(u0, run_cfg, suite)
-    traj = run.trajectory
-    lines = _trajectory_csv(traj.times, traj.sup, traj.strong, traj.weak, qs)
-    lines.append(f"# outcome = {traj.outcome.value}")
-    if traj.escape_time is not None:
-        lines.append(f"# escape_time = {fmt(traj.escape_time)}")
+    run = picard_iterate(u0, cfg.evolve, suite)
+    lines = _trajectory_csv(run, qs)
+    lines.append(f"# outcome = {run.outcome.value}")
+    if run.escape_time is not None:
+        lines.append(f"# escape_time = {fmt(run.escape_time)}")
     _write(out / "trajectory.csv", lines)
     _write_manifest(out, cfg, seed, "evolve", FittedConstants())
-    print(f"evolve ok: outcome {traj.outcome.value}, trajectory in {out}")
+    print(f"evolve ok: outcome {run.outcome.value}, trajectory in {out}")
     return 0
 
 

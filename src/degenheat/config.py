@@ -142,6 +142,26 @@ def _initial_data(descriptor: str, cfg: ExperimentConfig) -> None:
         raise ValueError("initial data must be nonnegative")
 
 
+# one run's fields and linear parts (each masters x mesh size doubles) must fit in this
+_RUN_BYTES_MAX = 2**30
+
+
+def _duhamel_steps(steps: int, cfg: ExperimentConfig) -> None:
+    """One Picard run fits in ``_RUN_BYTES_MAX`` on the largest configured mesh
+    at the longest horizon the config runs (a sweep's global cells run to
+    ``sweep.super_horizon``)."""
+    horizon = max(cfg.evolve.horizon, cfg.sweep_super_horizon if cfg.sweep_p else 0.0)
+    run = replace(cfg.evolve, duhamel_steps=steps, horizon=horizon)
+    masters = run.resolved_octaves * run.per_octave + 2  # t = 0, then the geometric grid
+    size = max(cfg.suite(a).mesh.size for a in (cfg.exponent, *cfg.sweep_alpha))
+    need = 2 * masters * size * 8
+    if need > _RUN_BYTES_MAX:
+        raise ValueError(
+            f"one run would hold {need / 2**30:.3g} GiB ({masters} masters x {size} mesh points, "
+            f"fields and linear parts), over the {_RUN_BYTES_MAX / 2**30:g} GiB bound"
+        )
+
+
 def _g17s(xs: tuple[float, ...]) -> str:
     return ",".join(map(g17, xs))
 
@@ -195,7 +215,6 @@ _KEYS = (
         "blowup_threshold", lambda text: _float(text) if text else None,
         lambda t: "" if t is None else g17(t),
     ),
-    _evolve("duhamel_steps", _int, str),
     _evolve("substeps", _int, str),
     _evolve("record_q", _floats, _g17s),
     _evolve("smallness_delta", _float),
@@ -211,6 +230,11 @@ _KEYS = (
     _Key("sweep.u0", "sweep_u0", "bump(0,1,0.75)", str, _initial_data, str),
     _Key("sweep.delta0", "sweep_delta0", 0.1, _float, _positive),
     _Key("sweep.super_horizon", "sweep_super_horizon", 65536.0, _float, _positive),
+    # last: its check reads the horizons and every configured grid
+    _Key(
+        "evolve.duhamel_steps", "evolve.duhamel_steps", _EVOLVE.duhamel_steps, _int,
+        _duhamel_steps, str,
+    ),
 )
 _KNOWN_KEYS = frozenset(k.name for k in _KEYS)
 

@@ -31,8 +31,6 @@ class FittedConstants:
     weak_smoothing_coef: float | None = None
     # sup bound used by the local-existence horizon rule
     local_bound_coef: float | None = None
-    # growth constant of the nonlinear Duhamel term in the local iteration
-    picard_growth_coef: float | None = None
 
     def manifest_lines(self) -> list[str]:
         out = []

@@ -38,7 +38,6 @@ from .weights import GridFunction, route_index
 __all__ = [
     "EvolveConfig",
     "Outcome",
-    "Trajectory",
     "PicardRun",
     "picard_iterate",
     "solve_local",
@@ -109,6 +108,11 @@ class EvolveConfig:
         """
         return max(14, int(math.ceil(math.log2(self.horizon / 0.015625))))
 
+    @property
+    def per_octave(self) -> int:
+        """Masters per octave: duhamel_steps spread over the default 14 octaves."""
+        return max(2, round(self.duhamel_steps / 14))
+
 
 def master_times(cfg: EvolveConfig) -> np.ndarray:
     """Geometric master grid from horizon*2^-octaves up to the horizon.
@@ -117,7 +121,7 @@ def master_times(cfg: EvolveConfig) -> np.ndarray:
     14 octaves; the grid places duhamel_steps/14 points per octave, so
     ladder times t0*2^k dividing the horizon land exactly on grid points.
     """
-    ppo = max(2, round(cfg.duhamel_steps / 14))
+    ppo = cfg.per_octave
     total = cfg.resolved_octaves * ppo
     j = np.arange(total + 1)
     times = cfg.horizon * 2.0 ** ((j - total) / ppo)
@@ -125,45 +129,51 @@ def master_times(cfg: EvolveConfig) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Time series of a mild solution: norms per solved time plus outcome."""
-
-    times: np.ndarray
-    sup: np.ndarray
-    strong: dict[float, np.ndarray]
-    weak: dict[float, np.ndarray]
-    outcome: Outcome
-    escape_time: float | None = None
-    snapshots: dict[float, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.times.size and not np.all(np.diff(self.times) > 0.0):
-            raise ValueError("trajectory times must be strictly increasing")
-        if np.any(self.sup < 0.0):
-            raise ValueError("trajectory norms must be nonnegative")
-        if self.escape_time is not None and not self.escape_time > 0.0:
-            raise ValueError("escape time must be positive when present")
-
-
-@dataclass(frozen=True)
 class PicardRun:
-    """The masters solved before the run stopped, with their fields.
+    """One Picard run: the masters solved before it stopped, with their fields.
 
-    ``iterations`` counts the pointwise iterations at each master after
-    t = 0 that the run reached, the master it stopped at included.
-    ``n_sweeps`` (one causal pass) and ``sup_diffs`` (empty) are kept for
-    the benchmark harness under ``perfbench/``, which reads them.
+    ``fields[i]`` is the solution on the solver mesh at ``masters[i]`` and
+    ``linear[i]`` its linear part S(t) u0; ``masters[0]`` is t = 0.  The
+    records of the run are at ``times``, the masters after t = 0: ``sup``
+    there, and ``norm(q, kind)`` computed there on demand.  ``escape_time``
+    is the master whose iterate crossed the threshold; the run holds the
+    masters before it.  ``iterations`` counts the pointwise iterations at
+    each master after t = 0 that the run reached, the master it stopped at
+    included.  ``n_sweeps`` (one causal pass) and ``sup_diffs`` (empty) are
+    kept for the benchmark harness under ``perfbench/``, which reads them.
     """
 
     masters: np.ndarray
     fields: np.ndarray = field(repr=False)  # (solved masters, mesh size)
     linear: np.ndarray = field(repr=False)  # S(t) u0 at the solved masters
-    trajectory: Trajectory
+    suite: KernelSuite = field(repr=False)
     iterations: tuple[int, ...]
     outcome: Outcome
     escape_time: float | None
     n_sweeps: int = 1
     sup_diffs: tuple[float, ...] = ()
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.masters[1:]
+
+    @property
+    def sup(self) -> np.ndarray:
+        """The sup norm at each of ``times``, one row at a time."""
+        return np.array([np.max(np.abs(f)) for f in self.fields[1:]])
+
+    def norm(self, q: float, kind: str) -> np.ndarray:
+        """The strong L^q(w) or the weak L^{q,inf}(w) norm at each of ``times``."""
+        if kind not in ("strong", "weak"):
+            raise ValueError(f"norm kind must be 'strong' or 'weak', got {kind!r}")
+        out = []
+        for f in self.fields[1:]:
+            u = GridFunction(self.suite.grid, self.suite.restrict(np.clip(f, 0.0, None)))
+            if kind == "strong":
+                out.append(weighted_lp_norm(u, q))
+            else:
+                out.append(u.sup() if q == INF else lorentz_norm(u, LorentzIndex(q, INF)))
+        return np.array(out)
 
 
 def picard_iterate(u0: GridFunction, cfg: EvolveConfig, suite: KernelSuite) -> PicardRun:
@@ -227,54 +237,14 @@ def picard_iterate(u0: GridFunction, cfg: EvolveConfig, suite: KernelSuite) -> P
         fields[m] = lin + z
         g = np.minimum(fields[m], cap) ** cfg.p
 
-    masters, fields, linear = masters[:solved], fields[:solved], linear[:solved]
-    trajectory = _build_trajectory(u0.grid, suite, masters, fields, cfg, outcome, escape_time)
     return PicardRun(
-        masters=masters,
-        fields=fields,
-        linear=linear,
-        trajectory=trajectory,
+        masters=masters[:solved],
+        fields=fields[:solved],
+        linear=linear[:solved],
+        suite=suite,
         iterations=tuple(iterations),
         outcome=outcome,
         escape_time=escape_time,
-    )
-
-
-def _build_trajectory(
-    grid,
-    suite: KernelSuite,
-    masters: np.ndarray,
-    fields: np.ndarray,
-    cfg: EvolveConfig,
-    outcome: Outcome,
-    escape_time: float | None,
-) -> Trajectory:
-    rec = masters > 0.0
-    times = masters[rec]
-    sup = np.array([float(np.max(np.abs(fields[i]))) for i in np.flatnonzero(rec)])
-    strong: dict[float, np.ndarray] = {}
-    weak: dict[float, np.ndarray] = {}
-    funcs = [GridFunction(grid, suite.restrict(np.clip(fields[i], 0.0, None)))
-             for i in np.flatnonzero(rec)]
-    for q in cfg.record_q:
-        strong[q] = np.array([weighted_lp_norm(f, q) for f in funcs])
-        weak[q] = np.array(
-            [f.sup() if q == INF else lorentz_norm(f, LorentzIndex(q, INF)) for f in funcs]
-        )
-    on_ladder = times >= cfg.ladder_t0
-    log2_step = np.log2(np.maximum(times, 1e-300) / cfg.ladder_t0)
-    on_ladder &= np.abs(log2_step - np.round(log2_step)) < 1e-9
-    snapshots = {
-        float(times[i]): funcs[i].values for i in np.flatnonzero(on_ladder)
-    }
-    return Trajectory(
-        times=times,
-        sup=sup,
-        strong=strong,
-        weak=weak,
-        outcome=outcome,
-        escape_time=escape_time,
-        snapshots=snapshots,
     )
 
 
@@ -341,11 +311,13 @@ def solve_local(
 ) -> PicardRun:
     """Picard solve on the horizon from the fitted local-existence rule.
 
-    The window T solves growth * T * 2^p * (coef * ||u0||_inf)^(p-1) = 1 and
-    the run must stay below 2 * coef * ||u0||_inf in sup norm.
+    The window T solves growth * T * 2^p * (coef * ||u0||_inf)^(p-1) = 1,
+    with coef the fitted local bound and growth the fitted strong smoothing
+    coefficient (each 1 if unfitted, growth at least 1), and the run must
+    stay below 2 * coef * ||u0||_inf in sup norm.
     """
     coef = constants.local_bound_coef or 1.0
-    growth = constants.picard_growth_coef or max(1.0, constants.strong_smoothing_coef or 1.0)
+    growth = max(1.0, constants.strong_smoothing_coef or 1.0)
     sup0 = u0.sup()
     if sup0 == 0.0:
         run = picard_iterate(u0, replace(cfg, p=p), suite)
@@ -353,7 +325,7 @@ def solve_local(
     horizon = 1.0 / (growth * 2.0**p * (coef * sup0) ** (p - 1.0))
     run = picard_iterate(u0, replace(cfg, p=p, horizon=horizon), suite)
     bound = 2.0 * coef * sup0
-    worst = float(np.max(run.trajectory.sup))
+    worst = float(np.max(run.sup))
     if worst > bound * (1.0 + 1e-6):
         raise LocalBoundError(
             f"local sup bound violated: sup {worst:g} exceeds 2*coef*||u0|| = {bound:g}"
@@ -366,13 +338,11 @@ class GlobalRun:
     run: PicardRun
     times: np.ndarray
     sup: np.ndarray
-    norm_series: dict[tuple[float, str], np.ndarray]
     functionals: dict[tuple[float, str], np.ndarray]
     functional_slopes: dict[tuple[float, str], float]
     accepted: bool
     measured_smallness: float
     rescale_lambda: float
-    delta_used: float
     decay_slope: float
 
 
@@ -448,26 +418,17 @@ def solve_global_small(
         kind = "strong"
         base = r
 
-    run_cfg = replace(cfg, p=p, record_q=tuple(q for q in qs if q != INF))
-    run = picard_iterate(data, run_cfg, suite)
-    traj = run.trajectory
+    run = picard_iterate(data, replace(cfg, p=p), suite)
 
     # map the records back through the scaling
-    times = traj.times * lam**2
-    sup = traj.sup * lam ** (-beta)
-    series: dict[tuple[float, str], np.ndarray] = {(INF, "sup"): sup}
-    for q in qs:
-        if q == INF:
-            continue
-        factor = lam ** (-beta + na / q)
-        series[(q, "strong")] = traj.strong[q] * factor
-        series[(q, "weak")] = traj.weak[q] * factor
-
+    times = run.times * lam**2
+    sup = run.sup * lam ** (-beta)
     functionals: dict[tuple[float, str], np.ndarray] = {}
     slopes: dict[tuple[float, str], float] = {}
     for q in qs:
         key = (q, kind)
-        vals = (1.0 + times) ** -suite.spec.smoothing_rate(base, q) * (sup if q == INF else series[key])
+        series = sup if q == INF else run.norm(q, kind) * lam ** (-beta + na / q)
+        vals = (1.0 + times) ** -suite.spec.smoothing_rate(base, q) * series
         functionals[key] = vals
         if np.all(vals == 0.0):  # trivial data: identically zero is flat
             slopes[key] = 0.0
@@ -482,13 +443,11 @@ def solve_global_small(
         run=run,
         times=times,
         sup=sup,
-        norm_series=series,
         functionals=functionals,
         functional_slopes=slopes,
         accepted=accepted,
         measured_smallness=measured,
         rescale_lambda=lam,
-        delta_used=cfg.smallness_delta,
         decay_slope=decay,
     )
 
@@ -550,7 +509,7 @@ def stability_check(
     gap0 = float(np.max(np.abs(u01.values - u02.values)))
     if gap0 == 0.0:
         return 0.0
-    run_cfg = replace(cfg, p=p, horizon=sigma, record_q=())
+    run_cfg = replace(cfg, p=p, horizon=sigma)
     r1 = picard_iterate(u01, run_cfg, suite)
     r2 = picard_iterate(u02, run_cfg, suite)
     k = min(r1.masters.size, r2.masters.size)  # the common solved prefix

@@ -11,7 +11,6 @@ from degenheat.blowup import (
     ak_value,
     classify,
     critical_log_growth,
-    critical_parameters,
     dichotomy_csv_lines,
     dichotomy_svg,
     kaplan_bound_series,
@@ -23,7 +22,7 @@ from degenheat.blowup import (
 from degenheat.evolve import EvolveConfig
 from degenheat.kernel import KernelSuite
 from degenheat.profiles import bump, indicator
-from degenheat.weights import WeightCase, WeightSpec, make_grid
+from degenheat.weights import WeightCase, WeightSpec, fujita_exponent, make_grid, route_index
 
 AX = WeightCase.AXIS_POWER
 
@@ -36,24 +35,23 @@ def suite():
 
 class TestCriticalParameters:
     def test_unweighted_one_d_threshold(self):
-        assert critical_parameters(1, 0.0, 2.0).p_star == pytest.approx(3.0)
+        assert fujita_exponent(1 + 0.0) == pytest.approx(3.0)
 
     def test_direct_arithmetic(self):
-        params = critical_parameters(1, 0.5, 2.5)
-        assert params.p_star == pytest.approx(7.0 / 3.0)
-        assert params.r_star == pytest.approx(1.125)
+        assert fujita_exponent(1 + 0.5) == pytest.approx(7.0 / 3.0)
+        assert route_index(1 + 0.5, 2.5) == pytest.approx(1.125)
 
     def test_threshold_exponent_maps_to_unit_route(self):
-        p_star = critical_parameters(1, 0.5, 2.0).p_star
-        assert critical_parameters(1, 0.5, p_star).r_star == pytest.approx(1.0, abs=1e-15)
+        p_star = fujita_exponent(1 + 0.5)
+        assert route_index(1 + 0.5, p_star) == pytest.approx(1.0, abs=1e-15)
 
     @given(n=st.integers(1, 4), alpha=st.floats(0.0, 0.9), p=st.floats(1.01, 6.0))
     @settings(max_examples=60, deadline=None)
     def test_route_crosses_one_exactly_at_threshold(self, n, alpha, p):
-        params = critical_parameters(n, alpha, p)
+        p_star, r_star = fujita_exponent(n + alpha), route_index(n + alpha, p)
         # roundoff can split the two comparisons right at the threshold
-        assume(abs(p - params.p_star) > 1e-9)
-        assert (p > params.p_star) == (params.r_star > 1.0)
+        assume(abs(p - p_star) > 1e-9)
+        assert (p > p_star) == (r_star > 1.0)
 
 
 class TestIterationProduct:
@@ -190,6 +188,33 @@ class TestClassify:
         )
         assert cell.kind == "blowup"
         assert cell.escape_time is not None and cell.escape_time > 0.0
+
+    @pytest.mark.parametrize(
+        "p,data,cfg,cell",
+        [
+            (1.8, bump(0.0, 1.0, 0.75), EvolveConfig(p=1.8, horizon=256.0),
+             CellOutcome(p=1.8, alpha=0.5, kind="blowup", escape_time=19.027313840043536)),
+            (2.0, lambda x: 40.0 * indicator(1.0)(x), EvolveConfig(p=2.0, horizon=16.0, blowup_threshold=1e300),
+             CellOutcome(p=2.0, alpha=0.5, kind="blowup", kaplan_crossing=1.0)),
+            (1.2, bump(0.0, 1.0, 0.01), EvolveConfig(p=1.2, horizon=16.0),
+             CellOutcome(p=1.2, alpha=0.5, kind="inconclusive", reason="no escape within horizon")),
+        ],
+    )
+    def test_subcritical_cell_runs_no_core_bound(self, suite, monkeypatch, p, data, cfg, cell):
+        # the cell reads the escape and the series crossing, not the core bound
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify ran heat_core_lower")
+
+        monkeypatch.setattr("degenheat.blowup.heat_core_lower", refuse)
+        assert classify(suite.spec, p, suite.grid.function(data), cfg, suite) == cell
+
+    def test_subcritical_ladder_past_the_horizon(self, suite):
+        # no ladder time within the horizon: an empty series, no crossing
+        cell = classify(
+            suite.spec, 1.8, suite.grid.function(bump(0.0, 1.0, 0.75)),
+            EvolveConfig(p=1.8, horizon=16.0, ladder_t0=32.0), suite,
+        )
+        assert cell.kind == "inconclusive" and cell.kaplan_crossing is None
 
     def test_supercritical_huge_data_inconclusive(self, suite):
         cell = classify(

@@ -164,6 +164,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"line 2, field kernel.times: .*{reason}"):
             parse_config_text(f"weight.case = axis\nkernel.times = {times}\n")
 
+    def test_oversized_run_cites_duhamel_steps(self):
+        # a run would hold 7.64 GiB on the default grid; loading refuses it
+        with pytest.raises(
+            ConfigError, match="line 2, field evolve.duhamel_steps: one run would hold 7.64 GiB"
+        ):
+            parse_config_text("weight.case = axis\nevolve.duhamel_steps = 1000000\n")
+
+    def test_run_bound_counts_the_sweep_horizon(self):
+        # 98000 steps fit at evolve.horizon = 256 (0.75 GiB), not at the
+        # sweep.super_horizon = 65536 of the global cells a sweep runs (1.18 GiB)
+        text = "weight.case = axis\nevolve.duhamel_steps = 98000\n"
+        assert parse_config_text(text).evolve.duhamel_steps == 98000
+        with pytest.raises(ConfigError, match="line 2, field evolve.duhamel_steps: .* 1.18 GiB"):
+            parse_config_text(text + "sweep.p = 1.5,3\n")
+
     def test_manifest_lines_cover_all_keys(self):
         cfg = parse_config_text("weight.case = axis\nweight.exponent = 0.5\n")
         keys = [line.split(" = ")[0] for line in cfg.manifest_lines()]
@@ -268,6 +283,7 @@ class TestCliCommands:
             ("evolve", {"grid.grading": "1e308"}, 2, "grid.grading"),
             ("evolve", {"grid.radius": "1e308"}, 2, "grid.radius"),
             ("sweep", {"sweep.p": "3.0", "sweep.u0": "indicator(0)"}, 2, "sweep.u0"),
+            ("evolve", {"evolve.duhamel_steps": "1000000"}, 2, "evolve.duhamel_steps"),
             # a grid whose face rates overflow is refused at load
             ("evolve", {"grid.grading": "100"}, 2, "grid.grading"),
         ],

@@ -48,7 +48,6 @@ def constants(suite):
         r_star=1.5,
         constants=FittedConstants(),
     )
-    rec.picard_growth_coef = max(1.0, rec.strong_smoothing_coef)
     return rec
 
 
@@ -91,7 +90,7 @@ class TestPicard:
         run = picard_iterate(suite.grid.constant(0.0), cfg, suite)
         assert run.outcome is Outcome.CONVERGED
         assert run.n_sweeps == 1
-        assert run.trajectory.sup.max() == 0.0
+        assert run.sup.max() == 0.0
 
     def test_negative_data_rejected(self, suite):
         cfg = EvolveConfig(p=2.0, horizon=1.0)
@@ -137,26 +136,41 @@ class TestPicard:
         run = picard_iterate(u0, cfg, suite)
         assert run.outcome is Outcome.THRESHOLD_EXCEEDED
         assert run.escape_time is not None and run.escape_time > 0.0
-        assert run.trajectory.escape_time == run.escape_time
         # the run holds the masters solved before the escape master, no more
         m = run.masters.size
         assert run.escape_time == master_times(cfg)[m]
         assert len(run.iterations) == m
         assert run.fields.shape == (m, suite.mesh.size)
-        assert np.all(run.trajectory.times < run.escape_time)
+        assert np.all(run.times < run.escape_time)
         assert np.max(run.fields) <= cfg.blowup_threshold
 
     def test_trajectory_records(self, suite):
         u0 = suite.grid.function(bump(0.0, 0.8, 0.05))
         cfg = EvolveConfig(p=2.0, horizon=4.0, record_q=(1.5, 3.0))
         run = picard_iterate(u0, cfg, suite)
-        traj = run.trajectory
-        assert np.all(np.diff(traj.times) > 0.0)
-        assert set(traj.strong) == {1.5, 3.0}
-        assert all(np.all(v >= 0.0) for v in traj.strong.values())
-        # nodal snapshots at the dyadic ladder times
-        assert set(traj.snapshots) == {0.25, 0.5, 1.0, 2.0, 4.0}
-        assert traj.snapshots[4.0].shape == (suite.grid.n_nodes,)
+        assert np.all(np.diff(run.times) > 0.0)
+        for q in (1.5, 3.0):
+            assert np.all(run.norm(q, "strong") >= 0.0)
+            assert run.norm(q, "strong").shape == run.times.shape
+
+    def test_run_computes_no_norm(self, suite, monkeypatch):
+        # a run records its fields only; a norm is computed when it is read
+        def refuse(*args, **kwargs):
+            raise AssertionError("picard_iterate computed a norm")
+
+        monkeypatch.setattr("degenheat.evolve.lorentz_norm", refuse)
+        monkeypatch.setattr("degenheat.evolve.weighted_lp_norm", refuse)
+        u0 = suite.grid.function(bump(0.0, 0.8, 0.05))
+        run = picard_iterate(u0, EvolveConfig(p=2.0, horizon=4.0, record_q=(1.5, 3.0)), suite)
+        assert run.outcome is Outcome.CONVERGED
+
+    def test_records_derive_from_the_masters(self, suite):
+        u0 = suite.grid.function(bump(0.0, 0.8, 0.05))
+        run = picard_iterate(u0, EvolveConfig(p=2.0, horizon=4.0), suite)
+        assert run.masters[0] == 0.0 and np.array_equal(run.times, run.masters[1:])
+        assert np.array_equal(run.sup, np.max(np.abs(run.fields[1:]), axis=1))
+        with pytest.raises(ValueError, match="norm kind"):
+            run.norm(2.0, "sup")
 
     def test_iteration_budget_outcome(self, suite):
         # slowly converging nonlinearity with a one-sweep budget
@@ -168,7 +182,7 @@ class TestPicard:
         assert run.escape_time is None
         # stopped at the first master: only t = 0 is solved
         assert run.iterations == (1,)
-        assert run.masters.tolist() == [0.0] and run.trajectory.times.size == 0
+        assert run.masters.tolist() == [0.0] and run.times.size == 0
 
 
 class TestOracle:
@@ -220,7 +234,7 @@ class TestSolveLocal:
         u0 = suite.grid.function(bump(0.0, 1.0, 1.0))
         run = solve_local(u0, 2.0, suite, EvolveConfig(p=2.0), constants)
         bound = 2.0 * constants.local_bound_coef * u0.sup()
-        assert run.trajectory.sup.max() <= bound * (1.0 + 1e-6)
+        assert run.sup.max() <= bound * (1.0 + 1e-6)
 
     def test_horizon_shrinks_with_data_size(self, suite, constants):
         t_small = solve_local(
